@@ -245,7 +245,7 @@ func BenchmarkE21_NemesisScenarios(b *testing.B) {
 }
 
 // BenchmarkE22_CompactionSoak — the compaction soak and crash-rejoin
-// scenarios: sustained writes past the slot budget with zero ErrLogFull,
+// scenarios: sustained writes past the slot budget with zero write errors,
 // and a dark replica healed by snapshot-install (multi-second workload runs
 // per iteration).
 func BenchmarkE22_CompactionSoak(b *testing.B) {
@@ -369,7 +369,6 @@ func benchKVWrite1ms(b *testing.B, batch int, compact bool) {
 		// A smaller window (checkpoint every 128 slots) so the measured run
 		// actually checkpoints and truncates throughout — the cost under
 		// measurement — instead of idling inside a 4096-slot budget.
-		cfg.Compact = true
 		cfg.Slots = 512
 	}
 	for i := 0; i < b.N; i++ {
@@ -392,7 +391,7 @@ func benchKVWrite1ms(b *testing.B, batch int, compact bool) {
 }
 
 // BenchmarkKVWrite1msUnbatched — the RTT-bound baseline: one consensus
-// round per Set.
+// round per Set (the log's batcher at one command per slot).
 func BenchmarkKVWrite1msUnbatched(b *testing.B) { benchKVWrite1ms(b, 1, false) }
 
 // BenchmarkKVWrite1msBatched64 — group commit at batch 64, window 1ms,

@@ -11,7 +11,7 @@
 //	        [-keys N] [-dist uniform|zipf] [-zipf-s S] [-readfrac F]
 //	        [-pattern 0..4] [-fault-at F] [-uf] [-nodes N] [-slots N]
 //	        [-shards N] [-batch N] [-batch-window D] [-pipeline N]
-//	        [-compact] [-sync-reads] [-lease D]
+//	        [-sync-reads] [-lease D]
 //	        [-nemesis SPEC] [-nemesis-seed N] [-seed N] [-json]
 //
 // Examples:
@@ -43,13 +43,13 @@
 // many writes each client keeps outstanding). This lifts the per-group
 // RTT ceiling on write throughput — see the README's batching section.
 //
-// A -compact run (kv only) enables checkpointed log compaction: each shard
-// group folds its applied state into periodic checkpoints (cadence derived
-// from the per-shard slot budget), truncates the acknowledged decided
-// prefix and recycles the freed slots, so a sustained-write run outlives
-// any -slots budget instead of filling the log into ErrLogFull errors. The
-// report gains a compaction section (checkpoints, truncations, freed
-// slots, snapshot installs, peak slot occupancy against the budget).
+// Every kv run compacts its logs: each shard group folds its applied state
+// into periodic checkpoints (every quarter of the per-shard -slots window,
+// at least 16 slots), truncates the acknowledged decided prefix and
+// recycles the freed slots, so a sustained-write run outlives any -slots
+// window. The report's compaction section gives checkpoints, truncations,
+// freed slots, snapshot installs and peak slot occupancy against the
+// budget.
 //
 // A -lease D run (kv only) grants each shard group's process 0 a read
 // lease of duration D: reads at a holder are served locally with no
@@ -113,12 +113,11 @@ func run(args []string, w io.Writer) error {
 	faultAt := fs.Float64("fault-at", 0.5, "fraction of the run after which the pattern is injected (0 = at start)")
 	uf := fs.Bool("uf", false, "restrict clients to the pattern's termination component U_f")
 	shards := fs.Int("shards", 1, "independent quorum-system groups the kv keyspace is consistent-hashed across")
-	batch := fs.Int("batch", 0, "max Sets per group-commit consensus round (kv protocol; 0/1 = unbatched)")
+	batch := fs.Int("batch", 0, "max Sets per group-commit consensus round (kv protocol; 0/1 = one Set per round)")
 	batchWindow := fs.Duration("batch-window", 0, "group-commit coalescing window (kv; 0 = default 1ms when -batch is set)")
 	pipeline := fs.Int("pipeline", 0, "batches kept in flight / async writes outstanding per client (kv; 0 = default 4 when -batch is set)")
-	slots := fs.Int("slots", 0, "total SMR log capacity, divided across shards (kv protocol; 0 = default 4096)")
+	slots := fs.Int("slots", 0, "total SMR log window, divided across shards; decided slots are checkpointed and recycled (kv protocol; 0 = default 4096)")
 	latticePool := fs.Int("lattice-pool", 0, "single-shot lattice object pool size (lattice protocol; 0 = default 8)")
-	compact := fs.Bool("compact", false, "checkpointed log compaction: recycle decided slots so sustained writes outlive -slots (kv protocol; report gains a compaction section)")
 	syncReads := fs.Bool("sync-reads", false, "kv reads commit a Sync barrier before Get")
 	leaseDur := fs.Duration("lease", 0, "read-lease duration: leased local reads at each shard's holder, shared barriers elsewhere (kv; implies -sync-reads; 0 = off)")
 	nemSpec := fs.String("nemesis", "", "chaos scenario spec driven against shard 0 (kv over mem; see internal/nemesis grammar)")
@@ -181,8 +180,8 @@ func run(args []string, w io.Writer) error {
 	if set["fault-at"] && *pattern == 0 {
 		reject("-fault-at needs a failure pattern (-pattern 1..4)")
 	}
-	if (set["slots"] || set["sync-reads"] || set["lease"] || set["compact"]) && *protocol != "kv" {
-		reject("-slots/-sync-reads/-lease/-compact apply to -protocol kv only (got %q)", *protocol)
+	if (set["slots"] || set["sync-reads"] || set["lease"]) && *protocol != "kv" {
+		reject("-slots/-sync-reads/-lease apply to -protocol kv only (got %q)", *protocol)
 	}
 	if *leaseDur < 0 {
 		reject("-lease must be non-negative (0 = no read lease), got %v", *leaseDur)
@@ -262,7 +261,6 @@ func run(args []string, w io.Writer) error {
 		BatchWindow:  *batchWindow,
 		Pipeline:     *pipeline,
 		LatticePool:  *latticePool,
-		Compact:      *compact,
 		SyncReads:    *syncReads,
 		Lease:        *leaseDur,
 		Nemesis:      *nemSpec,

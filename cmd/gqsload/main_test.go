@@ -110,8 +110,6 @@ func TestRunFlagCombinationValidation(t *testing.T) {
 		{"batch-window without batch", []string{"-protocol", "kv", "-batch-window", "2ms", "-duration", "10ms"}},
 		{"lease with register", []string{"-protocol", "register", "-lease", "1s", "-duration", "10ms"}},
 		{"negative lease", []string{"-protocol", "kv", "-lease", "-1s", "-duration", "10ms"}},
-		{"compact with register", []string{"-protocol", "register", "-compact", "-duration", "10ms"}},
-		{"compact with lattice", []string{"-protocol", "lattice", "-compact", "-duration", "10ms"}},
 		{"nemesis with register", []string{"-protocol", "register", "-nemesis", "crash(1)@0.5", "-duration", "10ms"}},
 		{"nemesis with tcp", []string{"-protocol", "kv", "-net", "tcp", "-nemesis", "crash(1)@0.5", "-duration", "10ms"}},
 		{"nemesis with pattern", []string{"-protocol", "kv", "-pattern", "1", "-nemesis", "crash(1)@0.5", "-duration", "10ms"}},
@@ -260,7 +258,7 @@ func TestRunCompactJSON(t *testing.T) {
 	err := run([]string{
 		"-protocol", "kv", "-clients", "4", "-readfrac", "0",
 		"-batch", "8", "-batch-window", "1ms", "-pipeline", "4",
-		"-compact", "-slots", "64",
+		"-slots", "64",
 		"-duration", "1s", "-keys", "16",
 		"-seed", "3", "-json",
 	}, &out)

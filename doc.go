@@ -44,15 +44,15 @@
 //     concurrent barrier readers elsewhere coalesce onto one shared Sync
 //     no-op, ~11-16x read throughput over barrier-per-read at ms delays
 //     (see README "Read path" and BENCH_reads.json);
-//   - checkpointed log compaction and O(state) state transfer
-//     (WithCompaction, WithShardCompaction, CompactionOptions,
-//     CompactionMetrics): the KV serializes applied state + cursor into
-//     interval checkpoints, the log truncates the decided prefix once every
-//     process acks a frontier (ack-timeout so a dead replica cannot block
-//     it) and recycles the freed slots — sustained writes never see
-//     ErrLogFull — while rejoining laggards heal from a checkpoint + decided
-//     suffix instead of replaying history (see README "Compaction & state
-//     transfer" and BENCH_compaction.json);
+//   - checkpointed log compaction and O(state) state transfer, which every
+//     replicated log runs (WithCompaction and CompactionOptions tune it,
+//     CompactionMetrics counts it): the KV serializes applied state +
+//     cursor into interval checkpoints, the log truncates the decided
+//     prefix once every process acks a frontier (ack-timeout so a dead
+//     replica cannot block it) and recycles the freed slots, so appends
+//     never run out of slots, while rejoining laggards heal from a
+//     checkpoint + decided suffix instead of replaying history (see README
+//     "Compaction & state transfer" and BENCH_compaction.json);
 //   - the sharded KV surface (OpenSharded, ShardedStore, ShardedKV,
 //     ShardRing): the keyspace consistent-hashed (virtual nodes,
 //     deterministic seed) across N independent quorum-system groups, each a

@@ -143,7 +143,11 @@ type (
 	// ConsensusOptions configures a consensus endpoint.
 	ConsensusOptions = consensus.Options
 	// ReplicatedLog is a multi-slot replicated command log (SMR) built from
-	// one consensus instance per slot.
+	// one consensus instance per slot. The log is a sliding window: slots
+	// below the live base are truncated once every process has checkpointed
+	// past them, so Get fails there (the slot was folded into a checkpoint)
+	// and DecidedPrefix covers only the live window. Appends never run out
+	// of slots.
 	ReplicatedLog = smr.Log
 	// ReplicatedLogOptions configures a replicated log endpoint.
 	ReplicatedLogOptions = smr.Options
@@ -153,11 +157,11 @@ type (
 	// a replicated log (ReplicatedLogOptions.Batch, or WithBatch/WithPipeline
 	// on a cluster).
 	BatchOptions = smr.BatchOptions
-	// CompactionOptions configures checkpointed log compaction on a
-	// replicated log (ReplicatedLogOptions.Compaction, or WithCompaction /
-	// WithShardCompaction on a cluster/store): the applied state folds into
-	// periodic checkpoints, the acknowledged decided prefix is truncated and
-	// its slots recycled, and laggards heal by snapshot-install.
+	// CompactionOptions tunes the checkpointed log compaction every
+	// replicated log runs (ReplicatedLogOptions.Compaction, or
+	// WithCompaction on a cluster): the applied state folds into periodic
+	// checkpoints, the acknowledged decided prefix is truncated and its
+	// slots recycled, and laggards heal by snapshot-install.
 	CompactionOptions = smr.CompactionOptions
 	// CompactionMetrics is a snapshot of a log's compaction counters
 	// (checkpoints, truncations, freed slots, installs, peak occupancy).
@@ -225,17 +229,17 @@ var (
 	WithTick = core.WithTick
 	// WithViewC sets the consensus view-duration constant.
 	WithViewC = core.WithViewC
-	// WithSlots sets replicated log/KV capacity.
+	// WithSlots sets the replicated log/KV window size.
 	WithSlots = core.WithSlots
-	// WithBatch enables group-commit batching on provisioned logs/KV stores:
+	// WithBatch sets group-commit batching on provisioned logs/KV stores:
 	// commands arriving within the window (or until the op cap) coalesce
 	// into one consensus round. WithPipeline sets how many batches stay in
 	// flight across consecutive slots.
 	WithBatch    = core.WithBatch
 	WithPipeline = core.WithPipeline
-	// WithCompaction enables checkpointed log compaction on provisioned
-	// logs/KV stores: sustained workloads recycle slots instead of hitting
-	// ErrLogFull, and replicas that fall below the live window heal by
+	// WithCompaction tunes the checkpoint cadence and ack timeout of the
+	// log compaction every provisioned log/KV store runs: decided slots are
+	// recycled, and replicas that fall below the live window heal by
 	// snapshot-install in O(state).
 	WithCompaction = core.WithCompaction
 	// WithLease enables leased local reads on provisioned KV stores: the
@@ -296,9 +300,6 @@ var (
 	// independent lease, so a fault in one shard lapses only that shard's
 	// fast read path.
 	WithShardLease = shard.WithLease
-	// WithShardCompaction enables checkpointed log compaction on every
-	// shard's group; each shard truncates and heals independently.
-	WithShardCompaction = shard.WithCompaction
 )
 
 // Workload engine: sustained load generation with tail-latency metrics over

@@ -414,9 +414,10 @@ func (lc *LogClient) Append(ctx context.Context, cmd string) (int64, error) {
 }
 
 // Get returns the decision of a slot, blocking until it is decided at the
-// routed process. With the cluster's batching enabled a slot's decision may
-// be an opaque group-commit value carrying several commands; expand it with
-// smr.SlotCommands (re-exported as gqs.SlotCommands).
+// routed process. When WithBatch lets a slot carry several commands, its
+// decision is an opaque group-commit value; expand it with
+// smr.SlotCommands (re-exported as gqs.SlotCommands). Slots below the live
+// window fail with smr.ErrCompacted.
 func (lc *LogClient) Get(ctx context.Context, slot int64) (string, error) {
 	var v string
 	err := lc.do(ctx, func(ctx context.Context, p int) error {
@@ -657,8 +658,7 @@ func (kc *KVClient) At(p failure.Proc) *smr.KV {
 // CompactionMetrics aggregates the compaction counters across every process
 // endpoint: event counters sum (each process checkpoints and truncates
 // independently), peak slot occupancy takes the cluster-wide maximum (the
-// bound the window argument must hold at every process). All zeros when the
-// cluster was opened without WithCompaction.
+// bound the window argument must hold at every process).
 func (kc *KVClient) CompactionMetrics() smr.CompactionMetrics {
 	var m smr.CompactionMetrics
 	for _, ep := range kc.eps {

@@ -110,56 +110,47 @@ func WithViewC(d time.Duration) Option {
 	return func(c *config) { c.viewC = d }
 }
 
-// WithSlots sets the capacity of replicated logs (and the KV stores above
-// them) provisioned by this cluster. Each slot is a pre-created consensus
-// instance at every process (see the smr package comment); idle slots
-// batch their view participation, so capacity costs memory, not
-// steady-state traffic.
+// WithSlots sets the window size of replicated logs (and the KV stores
+// above them) provisioned by this cluster: the number of live slots, each
+// a pre-created consensus instance at every process (see the smr package
+// comment). The window slides forward as checkpoints retire the decided
+// prefix, so it bounds memory, not the number of appends; idle slots batch
+// their view participation, so it costs no steady-state traffic.
 func WithSlots(n int) Option {
 	return func(c *config) { c.slots = n }
 }
 
-// WithBatch enables group-commit batching on the replicated logs (and KV
-// stores) provisioned by this cluster: commands arriving within window
-// coalesce into one consensus instance carrying up to maxOps commands (zero
-// accepts the smr defaults), amortizing the round trip over the batch. See
-// smr.BatchOptions; combine with WithPipeline to overlap consecutive
-// batches' rounds.
+// WithBatch sets group commit on the replicated logs (and KV stores)
+// provisioned by this cluster: commands arriving within window coalesce
+// into one consensus instance carrying up to maxOps commands, amortizing
+// the round trip over the batch. Zeros accept the smr defaults: no window,
+// one command per slot. See smr.BatchOptions; combine with WithPipeline to
+// overlap consecutive batches' rounds.
 func WithBatch(window time.Duration, maxOps int) Option {
 	return func(c *config) {
 		c.batch.Window = window
 		c.batch.MaxOps = maxOps
-		if window <= 0 && maxOps <= 0 {
-			// Explicit zeros still opt in: WithBatch(0, 0) means "batching on
-			// with defaults" rather than a no-op.
-			c.batch.MaxOps = smr.DefaultBatchMaxOps
-		}
 	}
 }
 
-// WithCompaction enables checkpointed log compaction on the replicated logs
+// WithCompaction tunes checkpointed log compaction on the replicated logs
 // (and KV stores) provisioned by this cluster: every o.Interval decided
-// slots each process folds its applied state into a checkpoint, the decided
-// prefix below the cluster-wide acknowledged frontier is truncated (freed
-// slots are recycled, so sustained workloads never hit ErrLogFull), and
-// replicas that fall below the live window are healed by a snapshot-install
-// in O(state) instead of an O(history) replay. Non-announcing peers stop
-// blocking truncation after o.AckTimeout. See smr.CompactionOptions.
+// slots each process folds its applied state into a checkpoint, the
+// decided prefix below the cluster-wide acknowledged frontier is truncated
+// (freed slots are recycled), and replicas that fall below the live window
+// are healed by a snapshot-install in O(state) instead of an O(history)
+// replay. Non-announcing peers stop blocking truncation after
+// o.AckTimeout. Every log compacts; zero fields accept the smr defaults.
+// See smr.CompactionOptions.
 func WithCompaction(o smr.CompactionOptions) Option {
 	return func(c *config) { c.compaction = o }
 }
 
 // WithPipeline sets how many append batches a provisioned log keeps in
 // flight concurrently (consecutive slots pipelining their consensus
-// rounds). Implies WithBatch's defaults when batching was not otherwise
-// configured.
+// rounds). Zero accepts smr.DefaultPipeline.
 func WithPipeline(n int) Option {
-	return func(c *config) {
-		c.batch.Pipeline = n
-		if c.batch.MaxOps == 0 && c.batch.Window == 0 {
-			c.batch.MaxOps = smr.DefaultBatchMaxOps
-		}
-	}
+	return func(c *config) { c.batch.Pipeline = n }
 }
 
 // WithLease enables leased local reads on the KV stores provisioned by

@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/graph"
@@ -80,6 +81,12 @@ type Register struct {
 	id  int
 	acc qaf.Accessor
 	sm  *stateMachine
+
+	// issued is the highest version number this endpoint has handed to a
+	// write. Two writes racing at one endpoint can see the same k in their
+	// Get phases; numbering past issued keeps their versions distinct.
+	mu     sync.Mutex
+	issued uint64
 }
 
 // Options configures a register endpoint.
@@ -160,9 +167,10 @@ func (r *Register) Write(ctx context.Context, val string) (Version, error) {
 	if err != nil {
 		return Version{}, err
 	}
-	// Lines 4-5: t = (k+1, i) with k the largest version number seen.
-	top := maxVersion(states)
-	t := Version{Num: top.Ver.Num + 1, Proc: r.id}
+	// Lines 4-5: t = (k+1, i) with k the largest version number seen,
+	// raised past every number this endpoint already issued so concurrent
+	// writes here never share a version (Proposition 3(1)).
+	t := Version{Num: r.nextNum(maxVersion(states).Ver.Num), Proc: r.id}
 	update, err := json.Marshal(State{Val: val, Ver: t})
 	if err != nil {
 		return Version{}, fmt.Errorf("encode write update: %w", err)
@@ -172,6 +180,15 @@ func (r *Register) Write(ctx context.Context, val string) (Version, error) {
 		return Version{}, fmt.Errorf("write set phase: %w", err)
 	}
 	return t, nil
+}
+
+// nextNum issues the version number of a write whose Get phase saw k:
+// max(k, issued)+1.
+func (r *Register) nextNum(k uint64) uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.issued = max(r.issued, k) + 1
+	return r.issued
 }
 
 // Read implements read() (Figure 4, lines 8-13): collect states from a read

@@ -10,6 +10,7 @@ import (
 	"repro/internal/failure"
 	"repro/internal/lincheck"
 	"repro/internal/node"
+	"repro/internal/qaf"
 	"repro/internal/quorum"
 	"repro/internal/transport"
 )
@@ -337,5 +338,72 @@ func TestRegisterStopFailsFast(t *testing.T) {
 	c.regs[0].Stop()
 	if _, err := c.regs[0].Write(context.Background(), "x"); err == nil {
 		t.Fatal("Write after Stop succeeded")
+	}
+}
+
+// getBarrier wraps an accessor so that the first n Get phases all return
+// only once every one of them has collected its states: the callers then
+// race on identical views of the register.
+type getBarrier struct {
+	qaf.Accessor
+	wg sync.WaitGroup
+}
+
+func (g *getBarrier) Get(ctx context.Context) ([][]byte, error) {
+	states, err := g.Accessor.Get(ctx)
+	g.wg.Done()
+	g.wg.Wait()
+	return states, err
+}
+
+// TestConcurrentWritesAtOneEndpointGetDistinctVersions: two writes racing at
+// one endpoint see the same highest version k in their Get phases. Each
+// must still get its own version — (k+1, i) for both would make two
+// different values indistinguishable to readers.
+func TestConcurrentWritesAtOneEndpointGetDistinctVersions(t *testing.T) {
+	qs := quorum.Figure1()
+	c := newRegCluster(t, 4, Options{Reads: qs.Reads, Writes: qs.Writes})
+	defer c.stop()
+	ctx := ctxSec(t, 60)
+
+	r := c.regs[0]
+	barrier := &getBarrier{Accessor: r.acc}
+	barrier.wg.Add(2)
+	r.acc = barrier
+
+	h := lincheck.NewHistory()
+	var wg sync.WaitGroup
+	vers := make([]Version, 2)
+	for i := range vers {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			val := fmt.Sprintf("w%d", i)
+			id := h.Begin(0, lincheck.KindWrite, val)
+			v, err := r.Write(ctx, val)
+			if err != nil {
+				t.Errorf("write %d: %v", i, err)
+				h.Discard(id)
+				return
+			}
+			vers[i] = v
+			h.End(id, "", v.Num, v.Proc)
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if vers[0] == vers[1] {
+		t.Fatalf("concurrent writes at one endpoint share version %v", vers[0])
+	}
+	id := h.Begin(1, lincheck.KindRead, "")
+	out, v, err := c.regs[1].Read(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.End(id, out, v.Num, v.Proc)
+	if err := lincheck.CheckVersioned(h.Ops()); err != nil {
+		t.Fatalf("versioned linearizability check failed: %v\n%s", err, lincheck.FormatOps(h.Ops()))
 	}
 }

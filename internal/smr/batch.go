@@ -10,14 +10,14 @@ import (
 	"repro/internal/wire"
 )
 
-// Group-commit batching and pipelined appends. With Options.Batch enabled,
-// Append no longer runs one consensus round per command: commands arriving
-// within a short window (or until a count/byte cap) coalesce into one
-// ordered batch that a single consensus instance decides as one opaque
-// value, amortizing the round trip over every command in it. Up to
-// BatchOptions.Pipeline batches are in flight at once, each on its own
-// claimed slot, so consecutive slots' consensus rounds overlap instead of
-// serializing on one outstanding decision.
+// Group-commit batching and pipelined appends: the log's only append path.
+// Commands arriving within a short window (or until a count/byte cap)
+// coalesce into one ordered batch that a single consensus instance decides
+// as one opaque value, amortizing the round trip over every command in it.
+// Up to BatchOptions.Pipeline batches are in flight at once, each on its
+// own claimed slot, so consecutive slots' consensus rounds overlap instead
+// of serializing on one outstanding decision. The zero BatchOptions is the
+// degenerate case: one command per batch, proposed as the command itself.
 //
 // Consensus itself is untouched: a batch is one value like any other, so
 // the safety argument (accepted-value precedence, quorum intersection) is
@@ -31,13 +31,12 @@ import (
 // the KV Sync barrier depends on: when Append returns, every slot up to and
 // including the command's is decided at this process, so a later barrier
 // can only commit to a higher slot and a barrier-then-read observes every
-// previously completed write. (Unbatched Append gets this for free by
-// walking slots sequentially; pipelined claims would otherwise complete out
-// of order across a still-undecided hole.)
+// previously completed write. (Pipelined claims would otherwise complete
+// out of order across a still-undecided hole.)
 
-// BatchOptions configures group-commit batching of Log.Append. The zero
-// value disables batching (every Append proposes alone, the pre-batching
-// behavior). Batching is enabled when Window or MaxOps is positive.
+// BatchOptions configures group commit of Log.Append. The zero value
+// proposes every command alone in its slot, with DefaultPipeline slots in
+// flight.
 type BatchOptions struct {
 	// Window bounds how long the first buffered command waits for company
 	// when the log is otherwise quiet: a batch forming while no drain is
@@ -46,11 +45,11 @@ type BatchOptions struct {
 	// batches are being cut, arrivals flush as soon as an in-flight slot
 	// frees up, so coalescing is driven by the outstanding rounds'
 	// backpressure (classic self-clocked group commit) and light-load
-	// appends never wait longer than the window. Zero with MaxOps set
-	// skips the quiet-period wait entirely.
+	// appends never wait longer than the window. Zero skips the
+	// quiet-period wait entirely.
 	Window time.Duration
 	// MaxOps caps the commands per batch; a full buffer flushes
-	// immediately. Defaults to DefaultBatchMaxOps when batching is enabled.
+	// immediately. Defaults to 1: one command per slot.
 	MaxOps int
 	// MaxBytes flushes early once the buffered commands' combined size
 	// reaches it, bounding the decided value a slot carries. Defaults to
@@ -67,17 +66,13 @@ type BatchOptions struct {
 
 // Batching defaults.
 const (
-	DefaultBatchMaxOps   = 64
 	DefaultBatchMaxBytes = 256 << 10
 	DefaultPipeline      = 4
 )
 
-// enabled reports whether the options turn batching on.
-func (o BatchOptions) enabled() bool { return o.Window > 0 || o.MaxOps > 0 }
-
 func (o BatchOptions) withDefaults() BatchOptions {
 	if o.MaxOps <= 0 {
-		o.MaxOps = DefaultBatchMaxOps
+		o.MaxOps = 1
 	}
 	if o.MaxBytes <= 0 {
 		o.MaxBytes = DefaultBatchMaxBytes
@@ -319,11 +314,10 @@ func (b *batcher) propose(batch []pendingOp) {
 			fail(ErrStopped)
 			return
 		}
-		// Resolve the claimed slot's instance. Without compaction a claim
-		// beyond capacity is ErrLogFull; with it, the claim waits out the
-		// next window extension (checkpoints extend the window ahead of the
-		// decided prefix, so in-flight pipelined rounds below the window end
-		// keep deciding and unblock the wait).
+		// Resolve the claimed slot's instance. A claim beyond the window's
+		// end waits out the next window extension (checkpoints extend the
+		// window ahead of the decided prefix, so in-flight pipelined rounds
+		// below the window end keep deciding and unblock the wait).
 		inst, err := l.resolveSlot(b.ctx, slot)
 		if errors.Is(err, ErrCompacted) {
 			// The claim lost a race with truncation: competing batches
@@ -342,11 +336,10 @@ func (b *batcher) propose(batch []pendingOp) {
 		}
 		// No explicit recordDecision here: the slot's OnDecide callback
 		// recorded it in the loop step that released Propose, and next must
-		// NOT be forced past the slot anyway (unlike the sequential
-		// unbatched Append, where slot == next makes that bump a no-op) —
-		// pipelined claims decide out of order, and jumping next over a
-		// still-undecided hole would fire awaitPrefix early and void the
-		// decided-prefix completion invariant.
+		// NOT be forced past the slot anyway — pipelined claims decide out
+		// of order, and jumping next over a still-undecided hole would fire
+		// awaitPrefix early and void the decided-prefix completion
+		// invariant.
 		if v != val {
 			continue // slot taken by a competing value; retry on the next one
 		}
@@ -358,10 +351,11 @@ func (b *batcher) propose(batch []pendingOp) {
 		// retry, and the stopping endpoint rejects all further reads, so no
 		// caller can observe the weakened invariant through it.
 		l.awaitPrefix(slot)
-		// The append gate (SetGate) runs under the same decided-prefix
-		// invariant as the unbatched path: once per batch, after the local
+		// The append gate (SetGate) runs once per batch, after the local
 		// prefix covers the batch's slot, before any completion is sent.
-		l.runGate(slot)
+		if g := l.gate.Load(); g != nil {
+			(*g)(slot)
+		}
 		for i, op := range batch {
 			op.done <- AppendResult{Slot: slot, Index: i}
 		}

@@ -181,7 +181,9 @@ func TestBatchPipelineDistinctSlots(t *testing.T) {
 		seen[r.Slot] = true
 		hole := int64(-1)
 		c.logs[0].n.Call(func() {
-			for s := int64(0); s <= r.Slot; s++ {
+			// Slots below the live base were decided before a checkpoint
+			// folded them (truncation never passes the decided prefix).
+			for s := c.logs[0].base; s <= r.Slot; s++ {
 				if _, ok := c.logs[0].decided[s]; !ok {
 					hole = s
 					break
@@ -236,22 +238,6 @@ func TestBatchByteCapBoundsCut(t *testing.T) {
 	}
 	if len(slots) < 4 {
 		t.Fatalf("16 ~60B commands at a %dB cap landed in %d slots, want >= 4", maxBytes, len(slots))
-	}
-}
-
-// TestBatchLogFull: batches that cannot claim a slot fail with ErrLogFull.
-func TestBatchLogFull(t *testing.T) {
-	c := newBatchedCluster(t, 2, BatchOptions{Window: time.Millisecond, MaxOps: 1})
-	defer c.stop()
-	ctx := ctxSec(t, 60)
-
-	for i := 0; i < 2; i++ {
-		if _, err := c.logs[0].Append(ctx, fmt.Sprintf("fill-%d", i)); err != nil {
-			t.Fatalf("fill %d: %v", i, err)
-		}
-	}
-	if _, err := c.logs[0].Append(ctx, "overflow"); !errors.Is(err, ErrLogFull) {
-		t.Fatalf("append on full log: %v, want ErrLogFull", err)
 	}
 }
 

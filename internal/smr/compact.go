@@ -11,15 +11,15 @@ import (
 	"repro/internal/wire"
 )
 
-// Checkpointed log compaction. With Options.Compaction enabled the slot
-// space becomes a sliding window: logical slot numbers are unbounded and
-// never reused (slot topics never alias), while live consensus instances
-// exist only for [base, base+window). Each process checkpoints its derived
-// state every Interval decided slots and announces the checkpoint frontier;
-// the window extends past every announced frontier (so proposals never run
-// out of slots), and the prefix below the LOWEST frontier announced by all
-// processes is truncated — its instances stopped and unregistered, its
-// decided values dropped, its memory freed. A peer that stops announcing is
+// Checkpointed log compaction. The slot space is a sliding window: logical
+// slot numbers are unbounded and never reused (slot topics never alias),
+// while live consensus instances exist only for [base, base+window). Each
+// process checkpoints its derived state every Interval decided slots and
+// announces the checkpoint frontier; the window extends past every
+// announced frontier (so proposals never run out of slots), and the prefix
+// below the LOWEST frontier announced by all processes is truncated — its
+// instances stopped and unregistered, its decided values dropped, its
+// memory freed. A peer that stops announcing is
 // timed out (AckTimeout): truncation proceeds without it, and when the peer
 // reappears still running slots below the live base, it is healed with a
 // snapshot-install — the latest checkpoint plus the decided suffix — in
@@ -42,13 +42,13 @@ import (
 // checkpoint announcement before treating it as failed.
 const DefaultAckTimeout = 2 * time.Second
 
-// CompactionOptions configures checkpointed log compaction. The zero value
-// disables compaction — the fixed [0, Slots) log whose exhaustion is
-// ErrLogFull. All processes of one log must agree on Interval.
+// CompactionOptions tunes checkpointed log compaction, which every log
+// runs. The zero value applies the defaults. All processes of one log must
+// agree on Interval.
 type CompactionOptions struct {
 	// Interval is the checkpoint cadence in slots: a process checkpoints
 	// whenever its decided prefix has grown by Interval slots since its last
-	// checkpoint. Positive enables compaction.
+	// checkpoint. Defaults to DefaultCheckpointInterval of the window.
 	Interval int64
 	// AckTimeout bounds how long truncation waits for every peer's
 	// checkpoint announcement. Peers still short of a frontier when the
@@ -61,10 +61,10 @@ type CompactionOptions struct {
 	Clock clock.Clock
 }
 
-// enabled reports whether the options turn compaction on.
-func (o CompactionOptions) enabled() bool { return o.Interval > 0 }
-
-func (o CompactionOptions) withDefaults() CompactionOptions {
+func (o CompactionOptions) withDefaults(window int) CompactionOptions {
+	if o.Interval <= 0 {
+		o.Interval = DefaultCheckpointInterval(window)
+	}
 	if o.AckTimeout <= 0 {
 		o.AckTimeout = DefaultAckTimeout
 	}
@@ -72,13 +72,29 @@ func (o CompactionOptions) withDefaults() CompactionOptions {
 	return o
 }
 
+// DefaultCheckpointInterval is the checkpoint cadence of a window of the
+// given size: a quarter of the window keeps several checkpoints' headroom
+// ahead of truncation, floored at 16 so tiny windows do not checkpoint on
+// every other decision, and capped at the window itself so a checkpoint
+// always fires before the window can fill.
+func DefaultCheckpointInterval(window int) int64 {
+	iv := int64(window / 4)
+	if iv < 16 {
+		iv = 16
+	}
+	if iv > int64(window) {
+		iv = int64(window)
+	}
+	return iv
+}
+
 // Snapshotter serializes and restores the derived state a layer above the
 // log maintains through OnCommit. Both methods run on the node's event
 // loop: Snapshot in the same loop step as the fold that reached frontier
 // (so it sees exactly the decided prefix [0, frontier)), Restore when a
 // snapshot-install replaces this process's state. NewKV installs the KV's
-// own snapshotter; a plain compacting Log without one checkpoints frontiers
-// only, and its installs carry no state.
+// own snapshotter; a plain Log without one checkpoints frontiers only, and
+// its installs carry no state.
 type Snapshotter interface {
 	Snapshot(frontier int64) (string, error)
 	Restore(state string, frontier int64) error
@@ -210,11 +226,10 @@ func (l *Log) extendWindow(to int64) {
 }
 
 // resolveSlot returns the consensus instance of a claimed slot, waiting out
-// window extensions when compaction is enabled. Without compaction a claim
-// beyond capacity is ErrLogFull, the seed behavior. With compaction a claim
-// below the live base — a snapshot-install truncated past it while the
-// claim was in flight — fails with ErrCompacted: the claim was never
-// proposed, so the command did not commit and may be retried.
+// window extensions for a claim beyond the window's end. A claim below the
+// live base — a snapshot-install truncated past it while the claim was in
+// flight — fails with ErrCompacted: the claim was never proposed, so the
+// command did not commit and may be retried.
 func (l *Log) resolveSlot(ctx context.Context, slot int64) (*consensus.Consensus, error) {
 	for {
 		gate := l.windowGate()
@@ -236,8 +251,6 @@ func (l *Log) resolveSlot(ctx context.Context, slot int64) (*consensus.Consensus
 			return nil, fmt.Errorf("slot %d: %w", slot, ErrCompacted)
 		case inst != nil:
 			return inst, nil
-		case !l.compact.enabled():
-			return nil, ErrLogFull
 		}
 		select {
 		case <-gate:

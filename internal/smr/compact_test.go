@@ -1,6 +1,7 @@
 package smr
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -12,9 +13,9 @@ import (
 	"repro/internal/transport"
 )
 
-// newCompactCluster builds a 4-process KV cluster with compaction enabled
-// (8-slot window, checkpoint every 4 slots, short ack-timeout so laggard
-// fallback paths run inside test budgets); mutate adjusts the shared
+// newCompactCluster builds a 4-process KV cluster with a fast compaction
+// cadence (8-slot window, checkpoint every 4 slots, short ack-timeout so
+// laggard fallback paths run inside test budgets); mutate adjusts the shared
 // options per test.
 func newCompactCluster(t *testing.T, mutate func(*Options)) *smrCluster {
 	t.Helper()
@@ -38,8 +39,7 @@ func newCompactCluster(t *testing.T, mutate func(*Options)) *smrCluster {
 }
 
 // TestCompactionSustainedWritesOutliveSlotBudget drives 5x the slot budget
-// through an 8-slot window: without compaction the 9th write would be
-// ErrLogFull; with it, checkpoints must keep truncating so every write
+// through an 8-slot window: checkpoints must keep truncating so every write
 // lands and the window's high-water mark stays bounded.
 func TestCompactionSustainedWritesOutliveSlotBudget(t *testing.T) {
 	c := newCompactCluster(t, nil)
@@ -226,6 +226,113 @@ func TestSnapshotInstallRacesConcurrentAppends(t *testing.T) {
 		got, ok, err := c.kvs[3].Get(ctx, fmt.Sprintf("live%d", w))
 		if err != nil || !ok || got != want {
 			t.Fatalf("healed live%d = %q/%v/%v, want %q", w, got, ok, err, want)
+		}
+	}
+}
+
+// liveRange returns a log endpoint's live base and first undecided slot,
+// read in one loop step.
+func liveRange(l *Log) (base, next int64) {
+	l.n.Call(func() { base, next = l.base, l.next })
+	return base, next
+}
+
+// TestPlainLogSlidesWindow: a plain Log (no Snapshotter, default cadence)
+// takes 5x its window of appends from every process, plus a short tail,
+// with zero errors. Once
+// the cluster is quiet, every process has truncated to the same base, Get
+// below it is ErrCompacted, and DecidedPrefix is identical everywhere and
+// covers exactly [base, next), one command per slot.
+func TestPlainLogSlidesWindow(t *testing.T) {
+	c := newSMRCluster(t, false)
+	defer c.stop()
+	ctx := ctxSec(t, 120)
+	window := c.logs[0].Capacity()
+
+	const perProc = 10 // 4 processes x 10 = 5x the 8-slot window
+	var wg sync.WaitGroup
+	for p := 0; p < 4; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < perProc; i++ {
+				if _, err := c.logs[p].Append(ctx, fmt.Sprintf("p%d-%d", p, i)); err != nil {
+					t.Errorf("append p%d-%d: %v", p, i, err)
+					return
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if 4*perProc != 5*window {
+		t.Fatalf("window %d: test wants 5x the window of appends", window)
+	}
+	// A few more, so the live suffix is unlikely to sit exactly on a
+	// checkpoint frontier and the prefix check below has commands to
+	// compare.
+	for i := 0; i < 3; i++ {
+		if _, err := c.logs[1].Append(ctx, fmt.Sprintf("tail-%d", i)); err != nil {
+			t.Fatalf("append tail-%d: %v", i, err)
+		}
+	}
+	total := int64(4*perProc + 3)
+
+	// Wait for every process to decide every slot and agree on the base
+	// (checkpoint announcements travel after the decisions).
+	var base, next int64
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		b0, n0 := liveRange(c.logs[0])
+		same := n0 >= total
+		for _, l := range c.logs[1:] {
+			b, n := liveRange(l)
+			same = same && b == b0 && n == n0
+		}
+		if same {
+			base, next = b0, n0
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("processes never settled on one live range (p0 at [%d,%d))", b0, n0)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if base == 0 {
+		t.Fatalf("base still 0 after %d appends through a %d-slot window", next, window)
+	}
+
+	var want []string
+	for p, l := range c.logs {
+		if _, err := l.Get(ctx, base-1); !errors.Is(err, ErrCompacted) {
+			t.Fatalf("p%d Get(%d) below base %d = %v, want ErrCompacted", p, base-1, base, err)
+		}
+		if _, err := l.Get(ctx, 0); !errors.Is(err, ErrCompacted) {
+			t.Fatalf("p%d Get(0) = %v, want ErrCompacted", p, err)
+		}
+		prefix, err := l.DecidedPrefix(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(prefix)) != next-base {
+			t.Fatalf("p%d prefix has %d commands, want %d for [%d,%d)", p, len(prefix), next-base, base, next)
+		}
+		for i, cmd := range prefix {
+			v, err := l.Get(ctx, base+int64(i))
+			if err != nil || v != cmd {
+				t.Fatalf("p%d Get(%d) = %q/%v, want prefix entry %q", p, base+int64(i), v, err, cmd)
+			}
+		}
+		if p == 0 {
+			want = prefix
+			continue
+		}
+		for i := range want {
+			if prefix[i] != want[i] {
+				t.Fatalf("p%d prefix[%d] = %q, want %q", p, i, prefix[i], want[i])
+			}
 		}
 	}
 }

@@ -152,8 +152,8 @@ func (kv *KV) nextID() string {
 	return fmt.Sprintf("p%d-%d", kv.nodeID, kv.seq.Add(1))
 }
 
-// Set commits key=val and returns the log slot it occupies. Under batching
-// the slot may be shared with other commands of the same group commit.
+// Set commits key=val and returns the log slot it occupies. The slot may
+// be shared with other commands of the same group commit.
 func (kv *KV) Set(ctx context.Context, key, val string) (int64, error) {
 	cmd, err := json.Marshal(kvCommand{ID: kv.nextID(), Key: key, Val: val})
 	if err != nil {
@@ -173,8 +173,8 @@ type SetResult = AppendResult
 // letting one client keep several writes in flight so consecutive group
 // commits pipeline instead of serializing on each decision. The channel is
 // buffered; abandoning it leaks nothing, but ctx does not withdraw a
-// buffered write on the batching path — a submitted write will be proposed
-// and may commit regardless (see Log.AppendAsync); use the synchronous Set
+// buffered write — a submitted write will be proposed and may commit
+// regardless (see Log.AppendAsync); use the synchronous Set
 // when a canceled write must be safely retriable.
 func (kv *KV) SetAsync(ctx context.Context, key, val string) <-chan SetResult {
 	cmd, err := json.Marshal(kvCommand{ID: kv.nextID(), Key: key, Val: val})
@@ -193,11 +193,11 @@ type KVPair struct {
 
 // SetMany commits every pair, coalescing them into as few group commits as
 // the log's batch configuration allows (one, when they fit a single batch),
-// and returns the slot of each pair, aligned with the input order. Without
-// batching the writes still overlap (each runs its own consensus round
-// concurrently). The pairs are CONCURRENT writes: pairs sharing one group
-// commit preserve input order within their slot, but pairs split across
-// batches (or across unbatched rounds) may commit in either order — exactly
+// and returns the slot of each pair, aligned with the input order. With one
+// command per slot the writes still overlap (up to the pipeline depth of
+// consensus rounds run concurrently). The pairs are CONCURRENT writes:
+// pairs sharing one group commit preserve input order within their slot,
+// but pairs split across batches may commit in either order — exactly
 // like concurrent Sets. Callers needing a total order across same-key
 // writes issue sequential Sets (a Set started after another completed
 // always commits above it). On error the committed pairs keep their slots

@@ -6,31 +6,37 @@
 // commands submitted at U_f members commit despite asymmetric channel
 // failures.
 //
-// Slot instances are created for the whole (bounded) slot window upfront,
-// at every process, when the log endpoint starts. This is not an
-// implementation convenience but a requirement of the paper's model: under
-// a pattern like Figure 1's f1, a read-quorum member (process c) may have
-// NO incoming connectivity at all, so it can never learn about lazily
-// created protocol instances — it can only participate in protocols it
-// starts spontaneously. The paper's algorithms assume every correct process
-// runs the algorithm from startup; the pre-created window realizes exactly
-// that per slot. (An unbounded log would need slot-generic 1B messages — a
-// protocol extension beyond the paper.)
+// Slot instances are created for the whole slot window upfront, at every
+// process, when the log endpoint starts. This is not an implementation
+// convenience but a requirement of the paper's model: under a pattern like
+// Figure 1's f1, a read-quorum member (process c) may have NO incoming
+// connectivity at all, so it can never learn about lazily created protocol
+// instances — it can only participate in protocols it starts
+// spontaneously. The paper's algorithms assume every correct process runs
+// the algorithm from startup; the pre-created window realizes exactly that
+// per slot.
 //
-// The hot path supports group commit: with Options.Batch enabled, commands
-// arriving within a short window coalesce into one ordered batch that a
-// single consensus instance decides as one opaque value, and up to a
-// configurable number of batches pipeline across consecutive slots (see
-// batch.go). Consensus value semantics are untouched — a batch is one value
-// — so the paper's safety argument carries over unchanged. Leader leases
-// (internal/lease) serve leased local reads off the applied state, and
-// checkpointed compaction (Options.Compaction, compact.go) removes the
-// lifetime write budget: the KV periodically serializes its applied state
-// into a checkpoint, the slot window slides forward once every live peer
-// has announced a covering checkpoint (a lagging or dead peer is timed out
-// and later healed by a snapshot-install carrying checkpoint plus decided
-// suffix), and freed slots are recycled — ErrLogFull no longer applies to
-// sustained workloads.
+// Every append goes through one path, the group-commit batcher (batch.go):
+// commands arriving within a short window coalesce into one ordered batch
+// that a single consensus instance decides as one opaque value, and up to
+// a configurable number of batches pipeline across consecutive slots. The
+// zero Options.Batch is the degenerate batch of one command per slot, so a
+// slot's decided value is the command itself. Consensus value semantics
+// are untouched — a batch is one value — so the paper's safety argument
+// carries over unchanged.
+//
+// The log has one shape, a sliding window over unbounded logical slots
+// (compact.go): each process checkpoints its derived state every
+// Options.Compaction.Interval decided slots, the window slides forward once
+// every live peer has announced a covering checkpoint (a lagging or dead
+// peer is timed out and later healed by a snapshot-install carrying
+// checkpoint plus decided suffix), and freed slots are recycled, so
+// appends never run out of slots. Slots below the live base are gone: Get
+// returns ErrCompacted for them and DecidedPrefix covers only the live
+// window [base, next). A plain Log has no Snapshotter, so its checkpoints
+// carry frontiers only; the history it truncated is not kept anywhere.
+// Leader leases (internal/lease) serve leased local reads off the KV's
+// applied state.
 package smr
 
 import (
@@ -52,62 +58,52 @@ import (
 // ErrStopped is returned after the log has been stopped.
 var ErrStopped = errors.New("replicated log stopped")
 
-// ErrLogFull is returned when every slot of the bounded log is decided.
-// With compaction enabled (Options.Compaction) it no longer occurs: the
-// slot window slides forward as checkpoints retire the decided prefix.
-var ErrLogFull = errors.New("replicated log full (all slots decided)")
-
 // ErrCompacted is returned for slots below the live window: their decisions
 // were folded into a checkpoint and truncated.
 var ErrCompacted = errors.New("slot compacted (folded into a checkpoint)")
 
-// DefaultSlots is the default log capacity. Sized for sustained workloads
-// (unbatched, the workload engine's kv driver appends one slot per Set;
-// with group commit a slot carries a whole batch, stretching the same
-// capacity by the batch size); deployments expecting more traffic set
-// Options.Slots explicitly — each slot is a pre-created consensus instance
-// at every process (see the package comment). Idle slots batch their view
-// participation into one message per process per view, so capacity costs
-// memory, not steady-state traffic.
+// DefaultSlots is the default window size: the number of live consensus
+// instances at every process (see the package comment). The window slides
+// as checkpoints retire the decided prefix, so it bounds memory and the
+// appends in flight, not the log's length. Idle slots batch their view
+// participation into one message per process per view, so window size
+// costs memory, not steady-state traffic.
 const DefaultSlots = 128
 
 // Options configures a log endpoint.
 type Options struct {
 	// Name scopes wire topics. Defaults to "smr".
 	Name string
-	// Slots is the log capacity (number of pre-created consensus
-	// instances). Defaults to DefaultSlots. All processes of one log must
-	// agree on it.
+	// Slots is the window size (number of live consensus instances).
+	// Defaults to DefaultSlots. All processes of one log must agree on it.
 	Slots int
 	// Reads and Writes are the GQS quorum families.
 	Reads, Writes []graph.BitSet
 	// ViewC is the per-slot consensus view-duration constant.
 	ViewC time.Duration
 	// Batch configures group-commit batching and pipelined appends. The
-	// zero value disables batching (every Append runs its own consensus
-	// round, the pre-batching behavior).
+	// zero value proposes one command per slot, DefaultPipeline slots in
+	// flight.
 	Batch BatchOptions
 	// OnCommit, when set, runs on the node loop for every slot the decided
 	// prefix advances over — in slot order, exactly once per slot, with the
-	// slot's raw decided value (an opaque group-commit batch under
-	// batching; expand with SlotCommands). Layers keeping derived state
-	// over the log (the KV's applied map) fold slots in here instead of
-	// replaying the prefix per read. It fires before the slot's prefix
+	// slot's raw decided value (an opaque group-commit batch when the slot
+	// carries more than one command; expand with SlotCommands). Layers
+	// keeping derived state over the log (the KV's applied map) fold slots
+	// in here instead of replaying the prefix per read. It fires before the slot's prefix
 	// waiters are released, so an append completion observes every
-	// OnCommit effect up to its slot. With compaction, a snapshot-install
-	// replaces the skipped slots' OnCommit calls with one Snapshotter
-	// Restore.
+	// OnCommit effect up to its slot. A snapshot-install replaces the
+	// skipped slots' OnCommit calls with one Snapshotter Restore.
 	OnCommit func(slot int64, v string)
-	// Compaction configures checkpointed log compaction: the slot window
-	// slides forward as checkpoints retire the decided prefix (see
-	// compact.go). The zero value disables compaction — the seed's fixed
-	// [0, Slots) log whose exhaustion is ErrLogFull. All processes of one
-	// log must agree on it.
+	// Compaction tunes checkpointed log compaction: the slot window slides
+	// forward as checkpoints retire the decided prefix (see compact.go).
+	// The zero value applies the defaults. All processes of one log must
+	// agree on it.
 	Compaction CompactionOptions
 	// Snapshotter serializes and restores the derived state OnCommit folds,
 	// for checkpoints and snapshot-installs. Owned by the KV's apply loop
-	// under NewKV and must be left unset there; a plain compacting Log
-	// without one checkpoints frontiers only (installs carry no state).
+	// under NewKV and must be left unset there; a plain Log without one
+	// checkpoints frontiers only (installs carry no state).
 	Snapshotter Snapshotter
 }
 
@@ -132,8 +128,7 @@ type smrDecEntry struct {
 type Log struct {
 	n *node.Node
 	// slots holds the live window's consensus instances: slots[i] is
-	// logical slot base+i. Without compaction the window is fixed at
-	// [0, Slots); with it, extension appends and truncation drops from the
+	// logical slot base+i. Extension appends and truncation drops from the
 	// front. Loop-confined after New (Stop reads it only after the loop has
 	// observed stopped).
 	slots []*consensus.Consensus
@@ -152,12 +147,11 @@ type Log struct {
 	topicCkpt   string
 	topicSnap   string
 
-	// batch is the group-commit append buffer, nil when batching is off.
+	// batch is the group-commit append buffer every append goes through.
 	batch *batcher
 
-	// compact is Options.Compaction with defaults applied; compact.enabled()
-	// gates every compaction code path. snapshotter may be nil (see
-	// Options.Snapshotter).
+	// compact is Options.Compaction with defaults applied. snapshotter may
+	// be nil (see Options.Snapshotter).
 	compact     CompactionOptions
 	snapshotter Snapshotter
 
@@ -212,7 +206,7 @@ type Log struct {
 	// peer); they are replayed on demand the moment a covered slot first
 	// activates (see onSlotActive).
 	idle1Bs map[failure.Proc]smrIdle1B
-	// Compaction state, loop-confined: base is the lowest live slot,
+	// Window state, loop-confined: base is the lowest live slot,
 	// lastCkpt/ckptState the frontier and serialized payload of this
 	// process's latest checkpoint, ackFrontier the highest checkpoint
 	// frontier each process (self included) has announced, and installView
@@ -254,7 +248,7 @@ func New(n *node.Node, opts Options) *Log {
 		viewC:         opts.ViewC,
 		window:        int64(opts.Slots),
 		onCommit:      opts.OnCommit,
-		compact:       opts.Compaction.withDefaults(),
+		compact:       opts.Compaction.withDefaults(opts.Slots),
 		snapshotter:   opts.Snapshotter,
 		windowCh:      make(chan struct{}),
 		decided:       make(map[int64]string),
@@ -269,18 +263,14 @@ func New(n *node.Node, opts Options) *Log {
 		topicCkpt:     opts.Name + "/ckpt",
 		topicSnap:     opts.Name + "/snap",
 	}
-	if opts.Batch.enabled() {
-		l.batch = newBatcher(l, opts.Batch)
-	}
+	l.batch = newBatcher(l, opts.Batch)
 	for s := 0; s < opts.Slots; s++ {
 		l.slots = append(l.slots, l.makeSlot(int64(s)))
 	}
 	n.Handle(l.topicIdle1B, l.onIdle1B)
 	n.Handle(l.topicDecs, l.onDecs)
-	if l.compact.enabled() {
-		n.Handle(l.topicCkpt, l.onCkpt)
-		n.Handle(l.topicSnap, l.onSnap)
-	}
+	n.Handle(l.topicCkpt, l.onCkpt)
+	n.Handle(l.topicSnap, l.onSnap)
 	l.sync = viewsync.New(opts.ViewC, func(v viewsync.View) {
 		// Hop onto the event loop; the synchronizer runs its own goroutine.
 		n.Do(func() { l.stepView(int64(v)) })
@@ -375,7 +365,7 @@ func (l *Log) onIdle1B(from failure.Proc, m wire.Message) {
 			}
 		}
 	}
-	if behind && l.compact.enabled() {
+	if behind {
 		// The peer is still running slots whose decided values were
 		// truncated here, so the O(history) decs catch-up below cannot
 		// cover them — heal it with a snapshot-install instead.
@@ -437,7 +427,7 @@ func (l *Log) onDecs(from failure.Proc, m wire.Message) {
 		if d.Slot < l.base {
 			continue // already folded into a checkpoint here
 		}
-		if l.compact.enabled() && d.Slot >= l.base+int64(len(l.slots)) {
+		if d.Slot >= l.base+int64(len(l.slots)) {
 			// Evidence of decisions beyond our window: a peer extended on a
 			// checkpoint announcement we missed. Creating instances is
 			// always safe; extend to adopt the decision.
@@ -449,9 +439,9 @@ func (l *Log) onDecs(from failure.Proc, m wire.Message) {
 	}
 }
 
-// Capacity returns the configured slot-window size. Without compaction it
-// is the fixed log capacity; with it, the window of this size slides
-// forward as checkpoints retire the decided prefix.
+// Capacity returns the configured window size: the number of live slots,
+// which slide forward as checkpoints retire the decided prefix. It bounds
+// memory, not the number of appends.
 func (l *Log) Capacity() int { return int(l.window) }
 
 // recordDecision stores a decision and wakes waiters. Runs on the loop.
@@ -471,7 +461,7 @@ func (l *Log) recordDecision(slot int64, v string) {
 		ch <- v
 	}
 	delete(l.waiters, slot)
-	if l.compact.enabled() && l.next >= l.lastCkpt+l.compact.Interval {
+	if l.next >= l.lastCkpt+l.compact.Interval {
 		l.checkpoint()
 	}
 	l.noteOccupancy()
@@ -537,13 +527,6 @@ func (l *Log) SetGate(gate func(slot int64)) {
 	l.gate.Store(&gate)
 }
 
-// runGate consults the installed append gate, if any.
-func (l *Log) runGate(slot int64) {
-	if g := l.gate.Load(); g != nil {
-		(*g)(slot)
-	}
-}
-
 // WaitPrefix blocks until this process's decided prefix covers slot
 // (DecidedPrefix would include it), the context is done, or the log stops.
 // It is the exported form of the completion invariant's wait: the lease
@@ -593,82 +576,26 @@ func (l *Log) WaitPrefix(ctx context.Context, slot int64) error {
 
 // Append commits cmd to the log and returns the slot it occupies. Commands
 // must be unique (callers tag them with client ids); duplicates would be
-// committed twice. With batching enabled the command coalesces into a group
-// commit and the returned slot may be shared with other commands (use
-// AppendAsync for the index within the batch); otherwise it tries
-// successive slots until cmd itself is decided, alone in its slot.
+// committed twice. The command joins the batcher's next group commit, so
+// the returned slot may be shared with other commands (use AppendAsync for
+// the index within the batch); with the zero Options.Batch it is alone in
+// its slot.
 //
 // Canceling ctx abandons the wait. A command still buffered (never cut
 // into a batch) is withdrawn and cannot commit, so a caller may safely
 // retry it; a command whose batch was already proposed may still commit
-// afterwards — the same in-flight semantics as the unbatched path, where a
-// retried command risks double commit.
+// afterwards, so retrying it risks a double commit.
 func (l *Log) Append(ctx context.Context, cmd string) (int64, error) {
 	if err := checkCmd(cmd); err != nil {
 		return 0, err
 	}
-	if l.batch != nil {
-		ch := l.batch.enqueue(cmd)
-		select {
-		case res := <-ch:
-			return res.Slot, res.Err
-		case <-ctx.Done():
-			// Withdraw the command if it has not been cut into a batch yet;
-			// an op already in flight keeps the may-still-commit semantics.
-			l.batch.remove(ch)
-			return 0, ctx.Err()
-		}
-	}
-	for {
-		var (
-			slot    int64
-			stopped bool
-		)
-		if err := l.n.CallCtx(ctx, func() {
-			stopped = l.stopped
-			slot = l.next
-		}); err != nil {
-			return 0, err
-		}
-		if stopped {
-			return 0, ErrStopped
-		}
-		inst, err := l.resolveSlot(ctx, slot)
-		if errors.Is(err, ErrCompacted) {
-			// The claim lost a race with truncation: competing appends
-			// decided the slot and a checkpoint folded it before cmd was
-			// ever proposed there, so retrying cannot double-commit.
-			continue
-		}
-		if err != nil {
-			return 0, err
-		}
-		v, err := inst.Propose(ctx, cmd)
-		if err != nil {
-			return 0, fmt.Errorf("append at slot %d: %w", slot, err)
-		}
-		// Deliberately not CallCtx: the decision is already durable, and
-		// returning ctx.Err() here would invite a double-commit retry of a
-		// committed command. The hop is one bounded loop step.
-		l.n.Call(func() { //lint:allow ctxflow decision already durable; aborting this bounded hop would invite double-commit retries
-			l.recordDecision(slot, v)
-			if l.next <= slot {
-				l.next = slot + 1
-			}
-		})
-		if v == cmd {
-			// The sequential walk guarantees the local prefix covers the
-			// slot here (the bump above), matching the batched path's
-			// awaitPrefix; the gate, if any, runs under the same invariant.
-			l.runGate(slot)
-			return slot, nil
-		}
-		// Slot was taken by a competing command; retry on the next one.
-		select {
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		default:
-		}
+	ch := l.batch.enqueue(cmd)
+	select {
+	case res := <-ch:
+		return res.Slot, res.Err
+	case <-ctx.Done():
+		l.batch.remove(ch)
+		return 0, ctx.Err()
 	}
 }
 
@@ -688,35 +615,25 @@ func checkCmd(cmd string) error {
 // AppendAsync submits cmd and returns a channel that receives its
 // completion: the slot the command's batch occupies, its index within the
 // batch, and any error. The channel is buffered; abandoning it leaks
-// nothing. On the batching path ctx does NOT withdraw the command — the
-// async surface trades cancellation for a zero-overhead completion channel
-// (no per-op goroutine), so a submitted command will be proposed and may
-// commit even if the caller stops listening; a caller that needs
-// withdraw-on-cancel for safe retries uses the synchronous Append. With
-// batching disabled it falls back to a goroutine running Append (index 0),
-// which does honor ctx, so callers can pipeline against either
-// configuration.
+// nothing. ctx does NOT withdraw the command — the async surface trades
+// cancellation for a zero-overhead completion channel (no per-op
+// goroutine), so a submitted command will be proposed and may commit even
+// if the caller stops listening; a caller that needs withdraw-on-cancel for
+// safe retries uses the synchronous Append.
 func (l *Log) AppendAsync(ctx context.Context, cmd string) <-chan AppendResult {
 	if err := checkCmd(cmd); err != nil {
 		done := make(chan AppendResult, 1)
 		done <- AppendResult{Err: err}
 		return done
 	}
-	if l.batch != nil {
-		return l.batch.enqueue(cmd)
-	}
-	done := make(chan AppendResult, 1)
-	go func() {
-		slot, err := l.Append(ctx, cmd)
-		done <- AppendResult{Slot: slot, Err: err}
-	}()
-	return done
+	return l.batch.enqueue(cmd)
 }
 
 // Get returns the decision of a slot, blocking until it is decided at this
-// process. Under batching a slot's decision may be an opaque group-commit
-// value carrying several commands; SlotCommands expands it (DecidedPrefix
-// already flattens the whole prefix back into the per-command sequence).
+// process. A slot holding one command decides the command itself; a group
+// commit of several decides an opaque batch value that SlotCommands
+// expands (DecidedPrefix already flattens the whole prefix back into the
+// per-command sequence). Slots below the live base return ErrCompacted.
 func (l *Log) Get(ctx context.Context, slot int64) (string, error) {
 	if slot < 0 {
 		return "", fmt.Errorf("slot %d out of range", slot)
@@ -756,9 +673,8 @@ func (l *Log) Get(ctx context.Context, slot int64) (string, error) {
 	select {
 	case v, ok := <-ch:
 		if !ok {
-			// Stop released the waiter — or, with compaction, the slot was
-			// truncated out from under it (its value lives on only inside a
-			// checkpoint).
+			// Stop released the waiter — or the slot was truncated out from
+			// under it (its value lives on only inside a checkpoint).
 			return "", ErrStopped
 		}
 		return v, nil
@@ -769,13 +685,12 @@ func (l *Log) Get(ctx context.Context, slot int64) (string, error) {
 
 // DecidedPrefix returns the decided commands of slots [base, k) where k is
 // the first undecided slot at this process and base is the live window's
-// start (0 without compaction — the full decided prefix; under compaction
-// the truncated prefix below base lives on only inside checkpoints),
-// flattening group-commit batches back into their ordered per-command
-// sequence (one decided slot may contribute several commands). The context
-// bounds the wait for the event loop (a loaded loop services the request
-// only after the work ahead of it); it returns ErrStopped after the log's
-// node has stopped.
+// start (the truncated prefix below base lives on only inside
+// checkpoints), flattening group-commit batches back into their ordered
+// per-command sequence (one decided slot may contribute several
+// commands). The context bounds the wait for the event loop (a loaded loop
+// services the request only after the work ahead of it); it returns
+// ErrStopped after the log's node has stopped.
 func (l *Log) DecidedPrefix(ctx context.Context) ([]string, error) {
 	ch := make(chan []string, 1)
 	err := l.n.CallCtx(ctx, func() {
@@ -810,7 +725,7 @@ func (l *Log) DecidedPrefix(ctx context.Context) ([]string, error) {
 // SlotCommands expands a decided slot value into its ordered commands: a
 // group-commit value yields the batch's commands (AppendResult.Index is the
 // position within this slice), any other value yields itself. It is the
-// public decoder for values read back through Get on a batching log.
+// public decoder for values read back through Get.
 func SlotCommands(v string) ([]string, error) {
 	if !wire.IsBatch(v) {
 		return []string{v}, nil
@@ -823,9 +738,7 @@ func SlotCommands(v string) ([]string, error) {
 // shared view synchronizer and every slot instance, and releases blocked
 // calls.
 func (l *Log) Stop() {
-	if l.batch != nil {
-		l.batch.drainAndClose(5 * time.Second)
-	}
+	l.batch.drainAndClose(5 * time.Second)
 	l.sync.Stop()
 	l.n.Call(func() {
 		l.stopped = true

@@ -112,20 +112,20 @@ type Config struct {
 	// injected into shard 0 only — the other shards are the fault-isolation
 	// control group, visible in the report's per-shard sections.
 	Shards int
-	// Slots is the total SMR log capacity for the kv protocol, divided
-	// evenly across Shards (each shard's log gets Slots/Shards consensus
-	// instances pre-created per node; see the smr package comment). Virgin
-	// slots beyond the log's activity frontier cost no per-view work or
-	// traffic at all, so capacity is effectively free until used;
-	// undersizing still surfaces as ErrLogFull write errors once the log
-	// fills. Default 4096 — commits are RTT-bound now, and a multi-second
-	// closed-loop run decides thousands of slots.
+	// Slots is the total SMR log window for the kv protocol, divided
+	// evenly across Shards (each shard's log keeps Slots/Shards live
+	// consensus instances per node; see the smr package comment). The
+	// window slides as checkpoints truncate the decided prefix, every
+	// quarter window (at least 16 slots), so it bounds memory and
+	// in-flight appends, not the run's length. Virgin slots beyond the
+	// log's activity frontier cost no per-view work or traffic at all.
+	// Default 4096.
 	Slots int
 	// Batch caps the commands per group commit of the kv protocol's SMR
 	// logs (core.WithBatch): Sets arriving within BatchWindow coalesce into
 	// one consensus round carrying the whole batch, amortizing the RTT that
-	// otherwise bounds per-group write throughput. 0 or 1 runs unbatched
-	// (one consensus round per Set, the pre-batching behavior). Requires kv.
+	// otherwise bounds per-group write throughput. 0 or 1 proposes every
+	// Set alone in its slot (one consensus round per Set). Requires kv.
 	Batch int
 	// BatchWindow is the group-commit coalescing window. Zero accepts the
 	// default 1ms when Batch enables batching.
@@ -134,19 +134,10 @@ type Config struct {
 	// batches in flight across consecutive slots, and when above 1 each
 	// driver client issues writes asynchronously with up to Pipeline
 	// outstanding instead of blocking on every decision (pipelined mode,
-	// open or closed loop). Zero accepts the default 4 when Batch enables
-	// batching; 1 keeps clients synchronous.
+	// open or closed loop). Zero means 4 in flight at the logs, and also
+	// pipelined clients when Batch enables batching; 1 keeps clients
+	// synchronous.
 	Pipeline int
-	// Compact enables checkpointed log compaction on the kv protocol's SMR
-	// logs (core.WithCompaction): each shard group folds its applied state
-	// into periodic checkpoints, truncates the acknowledged decided prefix
-	// and recycles the freed slots, so a sustained-write run outlives any
-	// Slots budget instead of filling the log into ErrLogFull. The
-	// checkpoint interval is derived from the per-shard slot budget (a
-	// quarter of the window, at least 16 slots). Requires kv. The report
-	// gains a compaction section (checkpoints, truncations, freed slots,
-	// installs, peak slot occupancy).
-	Compact bool
 	// LatticePool is the number of pre-created single-shot lattice objects
 	// per run for the lattice protocol. Each object is a backing snapshot of
 	// Nodes segment registers at every node; with delta propagation idle
@@ -313,9 +304,6 @@ func (c Config) validate() error {
 	}
 	if c.Lease > 0 && c.Protocol != ProtocolKV {
 		return fmt.Errorf("read leases require the kv protocol, got %q", c.Protocol)
-	}
-	if c.Compact && c.Protocol != ProtocolKV {
-		return fmt.Errorf("log compaction requires the kv protocol, got %q", c.Protocol)
 	}
 	if c.BatchWindow > 0 && c.Batch <= 1 {
 		// The engine only enables group commit when Batch > 1; a bare window
