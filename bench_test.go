@@ -8,8 +8,12 @@ package gqs
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -218,7 +222,7 @@ func BenchmarkE18_ShardScaling(b *testing.B) {
 func BenchmarkE19_BatchingSweep(b *testing.B) {
 	skipHeavyBenchShort(b)
 	for i := 0; i < b.N; i++ {
-		t, err := harness.E19BatchingSweep(context.Background(), benchConfig())
+		t, err := harness.E19BatchingSweep(context.Background())
 		requireTable(b, t, err)
 	}
 }
@@ -228,7 +232,7 @@ func BenchmarkE19_BatchingSweep(b *testing.B) {
 func BenchmarkE20_ReadPathSweep(b *testing.B) {
 	skipHeavyBenchShort(b)
 	for i := 0; i < b.N; i++ {
-		t, err := harness.E20ReadPathSweep(context.Background(), benchConfig())
+		t, err := harness.E20ReadPathSweep(context.Background())
 		requireTable(b, t, err)
 	}
 }
@@ -239,7 +243,7 @@ func BenchmarkE20_ReadPathSweep(b *testing.B) {
 func BenchmarkE21_NemesisScenarios(b *testing.B) {
 	skipHeavyBenchShort(b)
 	for i := 0; i < b.N; i++ {
-		t, err := harness.E21NemesisScenarios(context.Background(), benchConfig())
+		t, err := harness.E21NemesisScenarios(context.Background())
 		requireTable(b, t, err)
 	}
 }
@@ -251,7 +255,7 @@ func BenchmarkE21_NemesisScenarios(b *testing.B) {
 func BenchmarkE22_CompactionSoak(b *testing.B) {
 	skipHeavyBenchShort(b)
 	for i := 0; i < b.N; i++ {
-		t, err := harness.E22CompactionSoak(context.Background(), benchConfig())
+		t, err := harness.E22CompactionSoak(context.Background())
 		requireTable(b, t, err)
 	}
 }
@@ -336,122 +340,95 @@ func BenchmarkWorkloadRegisterUnderF1(b *testing.B) {
 
 // --- ms-delay KV trend benchmarks (CI bench-trend job) ---
 //
-// These two targets are the committed throughput trajectory of the
-// replicated-log hot path: single-group KV writes at a pinned 1ms one-way
-// delay, unbatched vs group-committed at equal client concurrency. The CI
-// bench-trend job runs them with a pinned -benchtime, extracts the ops/sec
-// metric and fails the build if either regresses >30% against the
-// ci_baselines section of BENCH_batching.json (cmd/benchtrend). Keep the
-// configs in lockstep with those baselines: changing a knob here without
-// re-measuring the baseline makes the trend check meaningless.
+// The committed throughput trajectory of the replicated-log hot path
+// (single-group KV writes at a pinned 1ms one-way delay: unbatched, group
+// commit, group commit with compaction live underneath) and of the
+// linearizable read path (a 0.95-read Zipf mix, barrier-per-read vs leased
+// local reads). Each benchmark runs the workload scenario named after it
+// minus the Benchmark prefix, so its config and checks live once, in
+// workload.Scenarios. The CI bench-trend job runs them with a pinned
+// -benchtime, extracts the ops/sec metric and fails the build if one
+// regresses >30% against the ci_baselines floor of the same name in
+// BENCH_batching.json, BENCH_reads.json or BENCH_compaction.json
+// (cmd/benchtrend). Changing a scenario without re-measuring its floor
+// makes the trend check meaningless.
 
-func benchKVWrite1ms(b *testing.B, batch int, compact bool) {
+func benchScenario(b *testing.B) {
 	skipHeavyBenchShort(b)
-	cfg := workload.Config{
-		Protocol:     workload.ProtocolKV,
-		Clients:      64,
-		Keys:         1024,
-		ReadFraction: -1, // write-only: the consensus pipeline is the subject
-		Seed:         7,
-		Slots:        4096,
-		MinDelay:     time.Millisecond,
-		MaxDelay:     time.Millisecond, // pinned: exactly 1ms per hop
-		Duration:     1500 * time.Millisecond,
-		Warmup:       300 * time.Millisecond,
-		OpTimeout:    20 * time.Second,
-	}
-	if batch > 1 {
-		cfg.Batch = batch
-		cfg.BatchWindow = time.Millisecond
-		cfg.Pipeline = 4
-	}
-	if compact {
-		// A smaller window (checkpoint every 128 slots) so the measured run
-		// actually checkpoints and truncates throughout — the cost under
-		// measurement — instead of idling inside a 4096-slot budget.
-		cfg.Slots = 512
+	sc, err := workload.LookupScenario(strings.TrimPrefix(b.Name(), "Benchmark"))
+	if err != nil {
+		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		r, err := workload.Run(context.Background(), cfg)
+		r, err := sc.Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
-		if r.TotalOps == 0 {
-			b.Fatal("workload completed no operations")
-		}
-		if errs := r.Errors["read"] + r.Errors["write"]; errs > 0 {
-			b.Fatalf("%d operation errors", errs)
-		}
-		if compact && (r.Compaction == nil || r.Compaction.Truncations == 0) {
-			b.Fatal("compaction idle: the measured run never truncated, so the trend point is meaningless")
+		p99 := r.Writes.P99Ms
+		if sc.Config.ReadFraction > 0 {
+			p99 = r.Reads.P99Ms
 		}
 		b.ReportMetric(r.OpsPerSec, "ops/sec")
-		b.ReportMetric(r.Writes.P99Ms, "p99-ms")
+		b.ReportMetric(p99, "p99-ms")
 	}
 }
 
 // BenchmarkKVWrite1msUnbatched — the RTT-bound baseline: one consensus
 // round per Set (the log's batcher at one command per slot).
-func BenchmarkKVWrite1msUnbatched(b *testing.B) { benchKVWrite1ms(b, 1, false) }
+func BenchmarkKVWrite1msUnbatched(b *testing.B) { benchScenario(b) }
 
 // BenchmarkKVWrite1msBatched64 — group commit at batch 64, window 1ms,
 // pipeline 4: one round carries up to 64 Sets.
-func BenchmarkKVWrite1msBatched64(b *testing.B) { benchKVWrite1ms(b, 64, false) }
+func BenchmarkKVWrite1msBatched64(b *testing.B) { benchScenario(b) }
 
-// BenchmarkKVWrite1msCompact — the batched hot path with checkpointed
-// compaction running underneath (checkpoint every 128 slots, truncation
-// live throughout): its ops/sec against the Batched64 floor is the
-// steady-state cost of compaction. Baseline in BENCH_compaction.json.
-func BenchmarkKVWrite1msCompact(b *testing.B) { benchKVWrite1ms(b, 64, true) }
-
-// --- ms-delay KV read-path trend benchmarks (CI bench-trend job) ---
-//
-// The committed trajectory of the linearizable read path: a read-heavy
-// (0.95) Zipf mix at a pinned 1ms one-way delay, barrier-per-read vs leased
-// local reads (internal/lease). Baselines live in the ci_baselines section
-// of BENCH_reads.json; the same lockstep rule as the write targets applies.
-
-func benchKVRead1ms(b *testing.B, lease time.Duration) {
-	skipHeavyBenchShort(b)
-	cfg := workload.Config{
-		Protocol:     workload.ProtocolKV,
-		Clients:      64,
-		Keys:         1024,
-		ReadFraction: 0.95,
-		Dist:         workload.DistZipf,
-		SyncReads:    true, // every read is linearizable in both variants
-		Lease:        lease,
-		Seed:         7,
-		Slots:        4096,
-		MinDelay:     time.Millisecond,
-		MaxDelay:     time.Millisecond, // pinned: exactly 1ms per hop
-		Duration:     1500 * time.Millisecond,
-		Warmup:       300 * time.Millisecond,
-		OpTimeout:    20 * time.Second,
-	}
-	for i := 0; i < b.N; i++ {
-		r, err := workload.Run(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.TotalOps == 0 {
-			b.Fatal("workload completed no operations")
-		}
-		if errs := r.Errors["read"] + r.Errors["write"]; errs > 0 {
-			b.Fatalf("%d operation errors", errs)
-		}
-		b.ReportMetric(r.OpsPerSec, "ops/sec")
-		b.ReportMetric(r.Reads.P99Ms, "p99-ms")
-	}
-}
+// BenchmarkKVWrite1msCompact — the batched hot path through a 512-slot
+// window, so checkpoints and truncation run throughout (the scenario fails
+// if the run never truncated): its ops/sec against the Batched64 floor is
+// the steady-state cost of compaction.
+func BenchmarkKVWrite1msCompact(b *testing.B) { benchScenario(b) }
 
 // BenchmarkKVRead1msBarrier — the barrier-per-read baseline: every read
 // commits its own private Sync no-op before the local Get.
-func BenchmarkKVRead1msBarrier(b *testing.B) { benchKVRead1ms(b, 0) }
+func BenchmarkKVRead1msBarrier(b *testing.B) { benchScenario(b) }
 
 // BenchmarkKVRead1msLeased — reads at each group's holder are leased local
 // reads (no consensus round); reads elsewhere share coalesced barriers.
-func BenchmarkKVRead1msLeased(b *testing.B) { benchKVRead1ms(b, time.Second) }
+func BenchmarkKVRead1msLeased(b *testing.B) { benchScenario(b) }
+
+// TestBaselinesNameScenarios fails when a ci_baselines key of a committed
+// BENCH_*.json file, minus its Benchmark prefix, names no workload
+// scenario: a floor must gate a run that exists.
+func TestBaselinesNameScenarios(t *testing.T) {
+	files, err := filepath.Glob("BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := 0
+	for _, path := range files {
+		var doc struct {
+			CIBaselines map[string]json.RawMessage `json:"ci_baselines"`
+		}
+		raw, err := os.ReadFile(path)
+		if err == nil {
+			err = json.Unmarshal(raw, &doc)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		for key := range doc.CIBaselines {
+			if strings.HasPrefix(key, "_") {
+				continue
+			}
+			keys++
+			if _, err := workload.LookupScenario(strings.TrimPrefix(key, "Benchmark")); err != nil {
+				t.Errorf("%s: ci_baselines key %s: %v", path, key, err)
+			}
+		}
+	}
+	if keys == 0 {
+		t.Fatal("no ci_baselines keys found in BENCH_*.json")
+	}
+}
 
 // --- Micro-benchmarks for the substrates ---
 

@@ -13,6 +13,7 @@
 //	        [-shards N] [-batch N] [-batch-window D] [-pipeline N]
 //	        [-sync-reads] [-lease D]
 //	        [-nemesis SPEC] [-nemesis-seed N] [-seed N] [-json]
+//	gqsload -scenario NAME [-json]
 //
 // Examples:
 //
@@ -24,6 +25,7 @@
 //	gqsload -protocol register -pattern 1 -fault-at 0.5 -duration 10s
 //	gqsload -protocol kv -lease 500ms -rate 200 -duration 10s \
 //	        -nemesis 'crash(0)@0.1..0.4; gray(1-2, 1ms, 0.1)@0.3..0.7' -json
+//	gqsload -scenario combined-chaos -json
 //
 // A -pattern run injects the chosen Figure-1 failure pattern mid-run
 // (-fault-at is the fraction of the measured window). Without -uf, clients
@@ -67,6 +69,12 @@
 // the full report (the JSON artifact carries the injected timeline and the
 // offending history) and then exits non-zero naming the failure. See the
 // README's chaos-testing section for the spec grammar.
+//
+// A -scenario NAME run replays one entry of workload.Scenarios (CI's
+// holder-crash, asym-partition, combined-chaos, soak and crash-rejoin, and
+// the bench-trend configs such as KVWrite1msBatched64). The scenario pins
+// every knob, seed included, so only -json may accompany it; gqsload
+// prints the full report, then exits non-zero naming every failed check.
 //
 // Invalid flag combinations (a value out of range, or a flag that its
 // protocol/mode would silently ignore, like -shards with -protocol register
@@ -127,6 +135,7 @@ func run(args []string, w io.Writer) error {
 	maxDelay := fs.Duration("max-delay", 0, "simulated per-hop delay upper bound (mem transport; 0 = default 300µs)")
 	opTimeout := fs.Duration("op-timeout", 0, "per-operation timeout (0 = protocol default: 2s register, 5s others)")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON")
+	scenario := fs.String("scenario", "", "run the named scenario of workload.Scenarios and its checks (combines with -json only)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -233,6 +242,13 @@ func run(args []string, w io.Writer) error {
 				effMin, effMax, workload.DefaultMinDelay, workload.DefaultMaxDelay)
 		}
 	}
+	if *scenario != "" {
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name != "scenario" && f.Name != "json" {
+				reject("-scenario pins the whole run and combines with -json only (got -%s)", f.Name)
+			}
+		})
+	}
 	if len(bad) > 0 {
 		fs.Usage()
 		return fmt.Errorf("invalid flags: %s", strings.Join(bad, "; "))
@@ -280,6 +296,15 @@ func run(args []string, w io.Writer) error {
 		cfg.FaultFrac = -1
 	}
 
+	verdict := nemesisVerdict
+	if *scenario != "" {
+		sc, err := workload.LookupScenario(*scenario)
+		if err != nil {
+			return err
+		}
+		cfg, verdict = sc.Config, sc.Verify
+	}
+
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
@@ -296,26 +321,21 @@ func run(args []string, w io.Writer) error {
 	} else {
 		report.Text(w)
 	}
-	return nemesisVerdict(report)
+	return verdict(report)
 }
 
 // nemesisVerdict turns a failed chaos run into a non-zero exit after the
-// full report (with the injected timeline) has been emitted. The error
-// names every violated obligation; a linearizability failure carries the
-// offending key's sub-history, so the failure is locatable from stderr
-// alone.
+// full report (with the injected timeline) has been emitted: the error
+// names every failed workload.ChaosChecks check, and a linearizability
+// failure carries the offending key's sub-history, so the failure is
+// locatable from stderr alone.
 func nemesisVerdict(report *workload.Report) error {
 	nm := report.Nemesis
-	if nm == nil || nm.Passed() {
+	if nm == nil {
 		return nil
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "nemesis run failed (spec %q seed %d):", nm.Spec, nm.Seed)
-	if !nm.Linearizable {
-		fmt.Fprintf(&b, "\n  probe history not linearizable: %s", nm.LincheckError)
+	if err := workload.Verify(report, workload.ChaosChecks); err != nil {
+		return fmt.Errorf("nemesis run failed (spec %q seed %d): %w", nm.Spec, nm.Seed, err)
 	}
-	for _, v := range nm.DegradationViolations {
-		fmt.Fprintf(&b, "\n  %s", v)
-	}
-	return fmt.Errorf("%s", b.String())
+	return nil
 }

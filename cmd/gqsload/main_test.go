@@ -127,6 +127,25 @@ func TestRunFlagCombinationValidation(t *testing.T) {
 	}
 }
 
+// TestRunScenarioFlagValidation checks -scenario rejects an unknown name
+// and any flag other than -json before a cluster spins up: the scenario
+// pins the whole run.
+func TestRunScenarioFlagValidation(t *testing.T) {
+	err := run([]string{"-scenario", "no-such", "-json"}, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), `unknown scenario "no-such"`) {
+		t.Errorf("unknown scenario error = %v", err)
+	}
+	for _, extra := range [][]string{
+		{"-seed", "7"}, {"-duration", "1s"}, {"-protocol", "kv"}, {"-nemesis", "crash(0)@0.1"}, {"-clients", "8"},
+	} {
+		args := append([]string{"-scenario", "soak", "-json"}, extra...)
+		err := run(args, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), "combines with -json only (got "+extra[0]+")") || !strings.Contains(err.Error(), "invalid flags") {
+			t.Errorf("args %v: error = %v, want %s rejected", args, err, extra[0])
+		}
+	}
+}
+
 // TestRunNemesisJSON drives a short seeded chaos run and checks the JSON
 // report carries the nemesis section: the injected timeline and the
 // closing-check verdicts.
@@ -246,10 +265,10 @@ func TestRunBatchedJSON(t *testing.T) {
 	}
 }
 
-// TestRunCompactJSON drives a sustained-write kv run whose write count
-// exceeds the slot budget several times over and checks the report carries
-// the compaction section: compaction kept recycling slots (zero write
-// errors past the budget) and bounded the live window.
+// TestRunCompactJSON drives a sustained-write kv run through a 64-slot
+// window and holds its JSON report to the soak scenario's checks: zero
+// errors, a compaction section, more than 4x the budget committed, live
+// truncation and freed slots, and peak occupancy within the window.
 func TestRunCompactJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compacting kv run skipped in -short mode")
@@ -265,36 +284,16 @@ func TestRunCompactJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var report struct {
-		TotalOps   uint64            `json:"total_ops"`
-		Errors     map[string]uint64 `json:"errors"`
-		Compaction *struct {
-			Interval      int64  `json:"interval"`
-			SlotBudget    int    `json:"slot_budget"`
-			Checkpoints   uint64 `json:"checkpoints"`
-			Truncations   uint64 `json:"truncations"`
-			SlotsFreed    uint64 `json:"slots_freed"`
-			PeakOccupancy int64  `json:"peak_occupancy"`
-		} `json:"compaction"`
-	}
+	var report workload.Report
 	if err := json.Unmarshal(out.Bytes(), &report); err != nil {
 		t.Fatalf("output is not JSON: %v\n%s", err, out.String())
 	}
-	c := report.Compaction
-	if c == nil {
-		t.Fatalf("report missing compaction section: %s", out.String())
+	soak, err := workload.LookupScenario("soak")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if report.Errors["write"] != 0 {
-		t.Errorf("compacting run hit %d write errors: %s", report.Errors["write"], out.String())
-	}
-	if report.TotalOps <= uint64(c.SlotBudget) {
-		t.Errorf("run too small to exercise compaction: %d ops within budget %d", report.TotalOps, c.SlotBudget)
-	}
-	if c.Checkpoints == 0 || c.Truncations == 0 || c.SlotsFreed == 0 {
-		t.Errorf("compaction idle under sustained writes: %+v", c)
-	}
-	if c.PeakOccupancy > int64(c.SlotBudget) {
-		t.Errorf("peak occupancy %d exceeds the window budget %d", c.PeakOccupancy, c.SlotBudget)
+	if err := workload.Verify(&report, soak.Checks); err != nil {
+		t.Fatalf("%v\n%s", err, out.String())
 	}
 }
 

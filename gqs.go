@@ -296,10 +296,6 @@ var (
 	WithRingSeed         = shard.WithRingSeed
 	WithGroupOptions     = shard.WithGroupOptions
 	WithGroupOptionsFunc = shard.WithGroupOptionsFunc
-	// WithShardLease enables per-shard read leases: each group runs an
-	// independent lease, so a fault in one shard lapses only that shard's
-	// fast read path.
-	WithShardLease = shard.WithLease
 )
 
 // Workload engine: sustained load generation with tail-latency metrics over

@@ -552,10 +552,10 @@ func runAll(ctx context.Context, w io.Writer, cfg Config, render func(*Table, io
 		{"E16", func() (*Table, error) { return E16ReplicatedKV(ctx, cfg) }},
 		{"E17", func() (*Table, error) { return E17Workload(ctx, cfg) }},
 		{"E18", func() (*Table, error) { return E18ShardScaling(ctx, cfg) }},
-		{"E19", func() (*Table, error) { return E19BatchingSweep(ctx, cfg) }},
-		{"E20", func() (*Table, error) { return E20ReadPathSweep(ctx, cfg) }},
-		{"E21", func() (*Table, error) { return E21NemesisScenarios(ctx, cfg) }},
-		{"E22", func() (*Table, error) { return E22CompactionSoak(ctx, cfg) }},
+		{"E19", func() (*Table, error) { return E19BatchingSweep(ctx) }},
+		{"E20", func() (*Table, error) { return E20ReadPathSweep(ctx) }},
+		{"E21", func() (*Table, error) { return E21NemesisScenarios(ctx) }},
+		{"E22", func() (*Table, error) { return E22CompactionSoak(ctx) }},
 	}
 	for _, e := range exps {
 		tbl, err := e.run()

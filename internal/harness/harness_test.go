@@ -132,10 +132,10 @@ func TestHeavyClusterExperiments(t *testing.T) {
 		{"E16", func() (*Table, error) { return E16ReplicatedKV(context.Background(), cfg) }},
 		{"E17", func() (*Table, error) { return E17Workload(context.Background(), cfg) }},
 		{"E18", func() (*Table, error) { return E18ShardScaling(context.Background(), cfg) }},
-		{"E19", func() (*Table, error) { return E19BatchingSweep(context.Background(), cfg) }},
-		{"E20", func() (*Table, error) { return E20ReadPathSweep(context.Background(), cfg) }},
-		{"E21", func() (*Table, error) { return E21NemesisScenarios(context.Background(), cfg) }},
-		{"E22", func() (*Table, error) { return E22CompactionSoak(context.Background(), cfg) }},
+		{"E19", func() (*Table, error) { return E19BatchingSweep(context.Background()) }},
+		{"E20", func() (*Table, error) { return E20ReadPathSweep(context.Background()) }},
+		{"E21", func() (*Table, error) { return E21NemesisScenarios(context.Background()) }},
+		{"E22", func() (*Table, error) { return E22CompactionSoak(context.Background()) }},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {

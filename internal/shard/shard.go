@@ -51,22 +51,6 @@ func WithGroupOptions(opts ...core.Option) Option {
 	}
 }
 
-// WithLease enables leased local reads on every shard's group: each group
-// runs its own independent lease (per-shard holder, renewal loop and
-// fallback), so KV.SyncGet and MultiGet serve from shard-local leaseholders
-// with no consensus round while leases are valid, and a pattern injected
-// into one shard lapses only that shard's lease. Shorthand for
-// WithGroupOptions(core.WithLease(d)); combine with WithGroupOptionsFunc
-// and core.WithLeaseHolder for per-shard holder placement.
-func WithLease(d time.Duration) Option {
-	return func(c *config) {
-		prev := c.group
-		c.group = func(shard int) []core.Option {
-			return append(prev(shard), core.WithLease(d))
-		}
-	}
-}
-
 // WithGroupOptionsFunc appends per-shard cluster options (e.g. a distinct
 // simulator seed per group).
 func WithGroupOptionsFunc(f func(shard int) []core.Option) Option {
@@ -327,7 +311,8 @@ func (kv *KV) Get(ctx context.Context, key string) (string, bool, error) {
 }
 
 // SyncGet performs a linearizable read of key in its shard: a leased local
-// read at the shard's holder when WithLease is on and its lease is valid,
+// read at the shard's holder when its group runs a lease (WithGroupOptions
+// with core.WithLease) and the lease is valid,
 // else a shared read barrier plus read at one routed process (see
 // core.KVClient.SyncGet).
 func (kv *KV) SyncGet(ctx context.Context, key string) (string, bool, error) {

@@ -7,52 +7,36 @@ import (
 	"time"
 )
 
-// nemesisCfg is the acceptance configuration: the sharded, batched, leased
-// KV store under a scenario combining a lease-holder crash/restart, an
-// asymmetric partition and a gray link — every event class the engine
-// drives against live transports.
-func nemesisCfg() Config {
-	return Config{
-		Protocol: ProtocolKV,
-		Net:      NetMem,
-		Clients:  4,
-		// Open loop at a modest rate: a closed-loop batched run fills the
-		// default log capacity mid-scenario and the probes would measure
-		// log exhaustion, not chaos recovery.
-		Rate:        200,
-		Duration:    6 * time.Second,
-		Keys:        16,
-		Seed:        42,
-		Shards:      2,
-		Batch:       8,
-		Lease:       400 * time.Millisecond,
-		Nemesis:     "crash(0)@0.05..0.35; apart(1|2)@0.1..0.4; gray(0-2, 1ms, 0.1)@0.1..0.5",
-		NemesisSeed: 7,
-		OpTimeout:   2 * time.Second,
-		MinDelay:    5 * time.Microsecond,
-		MaxDelay:    50 * time.Microsecond,
-		Tick:        500 * time.Microsecond,
-		ViewC:       2 * time.Millisecond,
+// nemesisCfg is the combined-chaos scenario's config: the sharded,
+// batched, leased KV under a lease-holder crash/restart, an asymmetric
+// partition and a gray link — every event class the engine drives against
+// live transports.
+func nemesisCfg(t *testing.T) Config {
+	t.Helper()
+	sc, err := LookupScenario("combined-chaos")
+	if err != nil {
+		t.Fatal(err)
 	}
+	return sc.Config
 }
 
 // TestRunNemesisScenario is the end-to-end chaos acceptance run: the
-// scenario must complete with the whole timeline applied, the probe
-// history linearizable, and no graceful-degradation violations (every
-// steady quorate second served operations; reads kept succeeding after the
-// lease holder was killed).
+// combined-chaos scenario must pass its checks (probe history
+// linearizable, no graceful-degradation violation, probes served) with the
+// whole timeline applied.
 func TestRunNemesisScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second chaos run")
 	}
-	r, err := Run(context.Background(), nemesisCfg())
+	sc, err := LookupScenario("combined-chaos")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := sc.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	nm := r.Nemesis
-	if nm == nil {
-		t.Fatal("nemesis run produced no nemesis report section")
-	}
 	// 6 scheduled events: crash+restart, link-down+link-up, gray+clear.
 	if len(nm.Events) != 6 {
 		t.Fatalf("applied %d events, want 6: %+v", len(nm.Events), nm.Events)
@@ -62,18 +46,8 @@ func TestRunNemesisScenario(t *testing.T) {
 			t.Fatalf("event %+v applied before its scheduled time", e)
 		}
 	}
-	if !nm.Linearizable {
-		t.Fatalf("probe history not linearizable:\n%s", nm.LincheckError)
-	}
-	if len(nm.DegradationViolations) != 0 {
-		t.Fatalf("degradation violations: %v", nm.DegradationViolations)
-	}
-	if nm.HistoryOps == 0 || nm.ProbeOps == 0 || nm.ProbeReads == 0 {
-		t.Fatalf("probes recorded nothing: history=%d ops=%d reads=%d",
-			nm.HistoryOps, nm.ProbeOps, nm.ProbeReads)
-	}
-	if !nm.Passed() {
-		t.Fatal("Passed() = false on a clean run")
+	if nm.HistoryOps == 0 || nm.ProbeReads == 0 {
+		t.Fatalf("probes recorded nothing: history=%d reads=%d", nm.HistoryOps, nm.ProbeReads)
 	}
 	// The section must render in the text report.
 	var b strings.Builder
@@ -90,7 +64,7 @@ func TestRunNemesisTimelineReplays(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second chaos run")
 	}
-	cfg := nemesisCfg()
+	cfg := nemesisCfg(t)
 	cfg.Duration = 2 * time.Second
 	cfg.Nemesis = "crash(1)@0.2..0.6; flap(2-3, 3)@0.1..0.9; skew(0, 120ms)@0.5"
 	type line struct {
@@ -126,7 +100,7 @@ func TestRunNemesisTimelineReplays(t *testing.T) {
 // specs fail fast, and nemesis runs are restricted to the kv protocol over
 // the mem network, exclusive with static pattern injection.
 func TestNemesisConfigValidation(t *testing.T) {
-	base := nemesisCfg()
+	base := nemesisCfg(t)
 	base.Duration = 500 * time.Millisecond
 	cases := []struct {
 		name string

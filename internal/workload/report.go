@@ -163,11 +163,6 @@ type NemesisReport struct {
 	DegradationViolations []string `json:"degradation_violations,omitempty"`
 }
 
-// Passed reports whether every closing check of the chaos run held.
-func (n *NemesisReport) Passed() bool {
-	return n.Linearizable && len(n.DegradationViolations) == 0
-}
-
 // ShardReport is one shard group's section of a sharded run.
 type ShardReport struct {
 	Shard     int               `json:"shard"`
