@@ -59,6 +59,12 @@
 //     full deployment with its own SMR log and injectable failure pattern —
 //     aggregate throughput scales with the shard count, faults degrade only
 //     one key range, and routing policies compose per shard;
+//   - a binary hot path (internal/wire): every message is one envelope
+//     whose topic a receiver slices out without parsing; consensus and
+//     replicated-log bodies, group-commit batches, KV commands and KV
+//     checkpoints are length-prefixed encoding/binary records that each
+//     process decodes once, while the cold protocols keep JSON bodies
+//     inside the same envelope;
 //   - protocol-invariant static analysis (cmd/gqsvet, internal/analysis):
 //     a custom `go vet -vettool` enforcing the invariants the protocols
 //     rest on — injectable clocks in protocol packages (internal/clock;

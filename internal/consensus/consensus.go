@@ -31,13 +31,14 @@ const (
 	phaseDecide
 )
 
-// Wire bodies. HasVal distinguishes ⊥ from an empty-string value.
+// Wire bodies, binary-encoded (codec.go). HasVal distinguishes ⊥ from an
+// empty-string value.
 type (
 	msg1B struct {
-		View   int64  `json:"view"`
-		AView  int64  `json:"aview"`
-		Val    string `json:"val"`
-		HasVal bool   `json:"has_val"`
+		View   int64
+		AView  int64
+		Val    string
+		HasVal bool
 		// Mine forwards the sender's own not-yet-accepted proposal. Figure 6
 		// only lets a leader propose its local value (line 11 skips its turn
 		// otherwise), which serializes commits behind leadership rotation:
@@ -46,22 +47,20 @@ type (
 		// so carrying the proposal in the 1B lets the current leader adopt
 		// it immediately — the accepted-value precedence rule (lines 10-15)
 		// stays untouched, so safety is unchanged.
-		Mine    string `json:"mine,omitempty"`
-		HasMine bool   `json:"has_mine,omitempty"`
+		Mine    string
+		HasMine bool
 	}
 	msg2A struct {
-		View int64  `json:"view"`
-		Val  string `json:"val"`
+		View int64
+		Val  string
 	}
-	msg2B struct {
-		View int64  `json:"view"`
-		Val  string `json:"val"`
-	}
+	// msg2B echoes the accepted 2A.
+	msg2B = msg2A
 	// msgDec pushes a learned decision. Decided processes stop entering
 	// views; instead they announce the decision once and answer any later
 	// protocol message for the instance with it.
 	msgDec struct {
-		Val string `json:"val"`
+		Val string
 	}
 )
 
@@ -432,20 +431,22 @@ func (c *Consensus) on2A(from failure.Proc, m wire.Message) {
 	c.ph = phaseAccept
 }
 
-// on2B implements the decision rule (Figure 6, lines 23-26).
+// on2B implements the decision rule (Figure 6, lines 23-26). A decided
+// instance answers with the decision without decoding the 2B: it needs
+// only the sender, and the value is a whole batch.
 func (c *Consensus) on2B(from failure.Proc, m wire.Message) {
-	var b msg2B
-	if wire.Decode(m, &b) != nil {
-		return
-	}
 	if c.stopped {
 		return
 	}
-	c.activate()
 	if c.decided {
 		c.n.Send(from, c.topicDec, msgDec{Val: c.decVal})
 		return
 	}
+	var b msg2B
+	if wire.Decode(m, &b) != nil {
+		return
+	}
+	c.activate()
 	if b.View != c.view {
 		return
 	}
@@ -472,12 +473,14 @@ func (c *Consensus) on2B(from failure.Proc, m wire.Message) {
 }
 
 // onDec adopts a decision learned from a peer that already decided.
+// Most decision copies reach an already-decided instance, so the check
+// comes before the decode.
 func (c *Consensus) onDec(from failure.Proc, m wire.Message) {
-	var d msgDec
-	if wire.Decode(m, &d) != nil {
+	if c.stopped || c.decided {
 		return
 	}
-	if c.stopped || c.decided {
+	var d msgDec
+	if wire.Decode(m, &d) != nil {
 		return
 	}
 	c.activate()

@@ -140,15 +140,15 @@ func (kv *KV) CompactionMetrics() CompactionMetrics { return kv.log.CompactionMe
 // truncation ack — the prefix below the lowest announced frontier is
 // retired everywhere.
 type smrCkpt struct {
-	Frontier int64 `json:"f"`
+	Frontier int64
 }
 
 // smrSnap installs a checkpoint at a lagging peer: the serialized state at
 // Frontier plus the sender's decided suffix at and above it.
 type smrSnap struct {
-	Frontier int64         `json:"f"`
-	State    string        `json:"s,omitempty"`
-	Decs     []smrDecEntry `json:"d,omitempty"`
+	Frontier int64
+	State    string
+	Decs     smrDecs
 }
 
 // makeSlot creates the consensus instance of one logical slot. Safe on the
@@ -404,7 +404,7 @@ func (l *Log) sendInstall(to failure.Proc, view int64) {
 		return
 	}
 	l.installView[to] = view
-	decs := make([]smrDecEntry, 0, len(l.decided))
+	decs := make(smrDecs, 0, len(l.decided))
 	for s, v := range l.decided {
 		if s >= l.lastCkpt {
 			decs = append(decs, smrDecEntry{Slot: s, Val: v})

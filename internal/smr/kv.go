@@ -2,28 +2,29 @@ package smr
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/node"
 	"repro/internal/wire"
 )
 
-// kvCommand is the log entry format of the replicated KV store.
+// kvCommand is the log entry of the replicated KV store, binary-encoded
+// as one record (codec.go).
 type kvCommand struct {
 	// ID makes commands unique across clients (Append requires uniqueness).
-	ID string `json:"id"`
+	ID string
 	// Key and Val describe a set operation. An empty Key is a no-op entry
 	// (the Sync barrier, or a Meta carrier).
-	Key string `json:"key"`
-	Val string `json:"val"`
+	Key string
+	Val string
 	// Meta carries an opaque control payload through the log's total order
 	// (lease grants and renewals; see AppendMeta). A Meta entry mutates no
 	// KV state; it is delivered in commit order to the observer installed
 	// with SetMetaObserver.
-	Meta string `json:"meta,omitempty"`
+	Meta string
 }
 
 // KV is a linearizable replicated key-value store built on the replicated
@@ -39,11 +40,10 @@ type KV struct {
 
 	// Applied state, confined to the node loop: applySlot folds each slot
 	// in as the decided prefix advances (Log.OnCommit), so a read is one
-	// map lookup instead of an O(history) prefix replay with a JSON decode
-	// per entry. cursor is the apply cursor — the next slot to fold — and
-	// always equals the log's first locally undecided slot. metaSlot/meta
-	// remember the newest Meta entry applied, so a checkpoint can carry it
-	// (see Snapshot).
+	// map lookup instead of an O(history) prefix replay. cursor is the
+	// apply cursor — the next slot to fold — and always equals the log's
+	// first locally undecided slot. metaSlot/meta remember the newest Meta
+	// entry applied, so a checkpoint can carry it (see Snapshot).
 	applied  map[string]string
 	cursor   int64
 	corrupt  error
@@ -82,24 +82,37 @@ func (kv *KV) applySlot(slot int64, v string) {
 		}
 		return
 	}
-	for _, raw := range cmds {
-		var cmd kvCommand
-		if err := json.Unmarshal([]byte(raw), &cmd); err != nil {
+	for _, rec := range cmds {
+		cmd, err := decodeKVCommand(rec)
+		if err != nil {
 			if kv.corrupt == nil {
 				kv.corrupt = fmt.Errorf("corrupt log entry in slot %d: %w", slot, err)
 			}
 			continue
 		}
 		if cmd.Key != "" {
-			kv.applied[cmd.Key] = cmd.Val
+			key, val := detach(cmd.Key, cmd.Val)
+			kv.applied[key] = val
 		}
 		if cmd.Meta != "" {
-			kv.metaSlot, kv.meta = slot, cmd.Meta
+			kv.metaSlot, kv.meta = slot, strings.Clone(cmd.Meta)
 			if kv.onMeta != nil {
-				kv.onMeta(slot, cmd.Meta)
+				kv.onMeta(slot, kv.meta)
 			}
 		}
 	}
+}
+
+// detach copies key and val out of the decided slot value they are
+// substrings of, in one allocation, so the applied map does not keep whole
+// batches alive.
+func detach(key, val string) (string, string) {
+	var sb strings.Builder
+	sb.Grow(len(key) + len(val))
+	sb.WriteString(key)
+	sb.WriteString(val)
+	kv := sb.String()
+	return kv[:len(key)], kv[len(key):]
 }
 
 // Snapshot serializes the applied state for a checkpoint at frontier
@@ -155,11 +168,7 @@ func (kv *KV) nextID() string {
 // Set commits key=val and returns the log slot it occupies. The slot may
 // be shared with other commands of the same group commit.
 func (kv *KV) Set(ctx context.Context, key, val string) (int64, error) {
-	cmd, err := json.Marshal(kvCommand{ID: kv.nextID(), Key: key, Val: val})
-	if err != nil {
-		return 0, fmt.Errorf("encode kv command: %w", err)
-	}
-	return kv.log.Append(ctx, string(cmd))
+	return kv.log.Append(ctx, kvCommand{ID: kv.nextID(), Key: key, Val: val}.encode())
 }
 
 // SetResult is the completion of an asynchronous Set: the slot the write's
@@ -177,13 +186,7 @@ type SetResult = AppendResult
 // regardless (see Log.AppendAsync); use the synchronous Set
 // when a canceled write must be safely retriable.
 func (kv *KV) SetAsync(ctx context.Context, key, val string) <-chan SetResult {
-	cmd, err := json.Marshal(kvCommand{ID: kv.nextID(), Key: key, Val: val})
-	if err != nil {
-		out := make(chan SetResult, 1)
-		out <- SetResult{Err: fmt.Errorf("encode kv command: %w", err)}
-		return out
-	}
-	return kv.log.AppendAsync(ctx, string(cmd))
+	return kv.log.AppendAsync(ctx, kvCommand{ID: kv.nextID(), Key: key, Val: val}.encode())
 }
 
 // KVPair is one key=value write of a SetMany.
@@ -311,11 +314,7 @@ func (kv *KV) GetManyIf(ctx context.Context, keys []string, ok func() bool) (m m
 // prefix includes every Set that completed before Sync was invoked, making a
 // following Get linearizable.
 func (kv *KV) Sync(ctx context.Context) error {
-	cmd, err := json.Marshal(kvCommand{ID: kv.nextID(), Key: "", Val: ""})
-	if err != nil {
-		return err
-	}
-	_, err = kv.log.Append(ctx, string(cmd))
+	_, err := kv.log.Append(ctx, kvCommand{ID: kv.nextID()}.encode())
 	return err
 }
 
@@ -326,11 +325,7 @@ func (kv *KV) Sync(ctx context.Context) error {
 // way, so lease state transitions are ordered against the writes they
 // guard by the log itself.
 func (kv *KV) AppendMeta(ctx context.Context, meta string) (int64, error) {
-	cmd, err := json.Marshal(kvCommand{ID: kv.nextID(), Meta: meta})
-	if err != nil {
-		return 0, fmt.Errorf("encode kv meta entry: %w", err)
-	}
-	return kv.log.Append(ctx, string(cmd))
+	return kv.log.Append(ctx, kvCommand{ID: kv.nextID(), Meta: meta}.encode())
 }
 
 // SetMetaObserver installs the observer for Meta entries (AppendMeta). It

@@ -113,15 +113,15 @@ type Options struct {
 // contiguous unused tail of the log, so the encoding is a handful of bytes
 // regardless of capacity.
 type smrIdle1B struct {
-	View   int64      `json:"view"`
-	Ranges [][2]int64 `json:"ranges"`
+	View   int64
+	Ranges [][2]int64
 }
 
 // smrDecEntry carries one decided slot's value to a process still running
 // the slot (partition heal, late catch-up).
 type smrDecEntry struct {
-	Slot int64  `json:"s"`
-	Val  string `json:"v"`
+	Slot int64
+	Val  string
 }
 
 // Log is one process's endpoint of the replicated command log.
@@ -346,7 +346,7 @@ func (l *Log) onIdle1B(from failure.Proc, m wire.Message) {
 	} else {
 		l.idle1Bs[from] = b
 	}
-	var decs []smrDecEntry
+	var decs smrDecs
 	behind := false
 	for _, r := range incoming {
 		lo, hi := r[0], r[1]
@@ -406,7 +406,7 @@ func (l *Log) onSlotActive(slot int64) {
 		for _, r := range b.Ranges {
 			if slot >= r[0] && slot < r[1] {
 				if v, ok := l.decided[slot]; ok {
-					l.n.Send(from, l.topicDecs, []smrDecEntry{{Slot: slot, Val: v}})
+					l.n.Send(from, l.topicDecs, smrDecs{{Slot: slot, Val: v}})
 				} else {
 					inst.Default1B(from, b.View)
 				}
@@ -419,7 +419,7 @@ func (l *Log) onSlotActive(slot int64) {
 // onDecs adopts decided values for slots this process is still running.
 // Runs on the node loop.
 func (l *Log) onDecs(from failure.Proc, m wire.Message) {
-	var decs []smrDecEntry
+	var decs smrDecs
 	if wire.Decode(m, &decs) != nil || l.stopped {
 		return
 	}

@@ -82,7 +82,7 @@ func TestQuickRoundTrip(t *testing.T) {
 }
 
 // Batch values round-trip exactly and are always distinguishable from the
-// JSON-encoded single commands the SMR layers store.
+// single commands the SMR layers store.
 func TestBatchRoundTrip(t *testing.T) {
 	for _, cmds := range [][]string{
 		{"one"},
@@ -122,7 +122,7 @@ func TestBatchRejections(t *testing.T) {
 	if _, err := DecodeBatch("plain"); err == nil {
 		t.Error("plain value decoded as batch")
 	}
-	if _, err := DecodeBatch("\x01b1{corrupt"); err == nil {
+	if _, err := DecodeBatch(batchMagic + "{corrupt"); err == nil {
 		t.Error("corrupt batch payload decoded")
 	}
 }
